@@ -56,8 +56,6 @@ class RunManifest:
     rules: RuleConfig
     out_dir: Path | None = None
     format: str = "text"
-    jobs: int = 1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if not self.schema_path.is_file():
@@ -66,8 +64,6 @@ class RunManifest:
             raise ConfigError(f"data directory not found: {self.data_dir}")
         if self.format not in ("text", "structured"):
             raise ConfigError(f"unknown output format: {self.format!r}")
-        if self.jobs < 1:
-            raise ConfigError(f"jobs must be at least 1, got {self.jobs}")
 
 
 def _key_atom_pattern(config: MinerConfig) -> str | None:
@@ -92,7 +88,10 @@ def _parameters(manifest: RunManifest) -> dict:
             "denominator": rules.minconf.denominator,
         },
         "include_trivial": rules.include_trivial,
-        "jobs": manifest.jobs,
+        # run.json has always carried a thread count; the miner is single
+        # threaded, and the key keeps its old value so reports stay
+        # byte-identical across versions
+        "jobs": 1,
     }
 
 
@@ -100,8 +99,8 @@ def cmd_mine(manifest: RunManifest) -> int:
     """Run phase 1 and phase 2 and emit all three reports."""
     schema = load_schema(manifest.schema_path)
     instance = load_instance(schema, manifest.data_dir)
-    state = run_phase1(instance, manifest.miner, jobs=manifest.jobs)
-    rules = run_phase2(state, instance, manifest.rules, jobs=manifest.jobs)
+    state = run_phase1(instance, manifest.miner)
+    rules = run_phase2(state, instance, manifest.rules)
 
     frequent_lines = frequent_report_lines(state)
     rule_lines = rule_report_lines(rules)
@@ -203,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--key-atom", metavar="REL(_,_)",
                       help="restrict to queries containing this anchor atom, "
                       "with its variables as the head")
-    mine.add_argument("--jobs", type=int, default=1,
-                      help="evaluation/search threads (default 1)")
     mine.add_argument("--out-dir",
                       help="write frequent.txt, rules.txt and run.json here "
                       "instead of stdout")
@@ -257,7 +254,6 @@ def _manifest_for_mine(args: argparse.Namespace) -> RunManifest:
         rules=RuleConfig(args.minconf),
         out_dir=Path(args.out_dir) if args.out_dir else None,
         format=args.format,
-        jobs=args.jobs,
     )
 
 

@@ -146,17 +146,6 @@ def is_diagonally_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return False
 
 
-def is_diagonally_equivalent(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
-    return is_diagonally_contained(q1, q2) and is_diagonally_contained(q2, q1)
-
-
-def is_contained_up_to_head_permutation(
-    q1: ConjunctiveQuery, q2: ConjunctiveQuery
-) -> bool:
-    """Containment after some reordering of ``q2``'s head."""
-    return q1.arity == q2.arity and is_diagonally_contained(q1, q2)
-
-
 # ---------------------------------------------------------------------------
 # minimization and canonical keys
 # ---------------------------------------------------------------------------

@@ -1,0 +1,135 @@
+"""Head-preserving inverse operators shared by both mining phases.
+
+Specialization builds a query by adding atoms, merging variables and binding
+variables to constants.  The steps here undo one of those at a time and keep
+the head exactly as it is:
+
+* ``atom_removals`` drops one body atom (the inverse of extension);
+* ``inverse_substitutions`` splits one variable or constant into itself and
+  a fresh variable (the inverse of a join or a selection).
+
+Every result maps back onto its input by a homomorphism that fixes the head
+(an inclusion for a removal, ``fresh -> term`` for a split), so it contains
+the input.  Results are raw: neither minimized nor renamed.  Phase 1 takes
+them with a body budget that leaves no room for duplicated atoms and adds
+its own operators on top; phase 2 walks them with the full body budget.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+from .queries import Atom, ConjunctiveQuery, Term, Variable, fresh_variable
+
+__all__ = ["atom_removals", "inverse_substitutions", "splits"]
+
+
+def atom_removals(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
+    """Yield ``query`` without one body atom, unless that strands a head variable."""
+    head_vars = set(query.head)
+    body = sorted(query.body, key=str)
+    if len(body) < 2:
+        return
+    for atom in body:
+        rest = frozenset(other for other in body if other != atom)
+        rest_vars = {
+            term
+            for other in rest
+            for term in other.args
+            if isinstance(term, Variable)
+        }
+        if head_vars <= rest_vars:
+            yield ConjunctiveQuery(query.head, rest)
+
+
+def inverse_substitutions(
+    query: ConjunctiveQuery, target: Term, max_atoms: int
+) -> Iterator[ConjunctiveQuery]:
+    """Yield every query that one substitution ``fresh -> target`` maps onto ``query``.
+
+    This is the shared inverse of variable merging and constant selection.
+    Each atom containing ``target`` is replaced by a non-empty set of
+    variants, where a variant renames some of that atom's ``target``
+    positions to a fresh variable; substituting the fresh variable back
+    restores exactly the original body.  Atoms may gain several variants —
+    that re-expands atoms the forward substitution had collapsed together —
+    bounded by ``max_atoms``.  A variable target must survive somewhere
+    (else the rewrite is a mere renaming, or drops a head variable); a
+    constant target may disappear entirely.
+
+    For a non-head variable, the fresh variable and the target are
+    interchangeable, so a split and its mirror image (every variant's renamed
+    positions complemented) are the same query up to renaming.  Of the two,
+    only the split whose renamed positions, as sorted bit masks per atom,
+    compare higher is yielded.
+    """
+    holders = sorted((atom for atom in query.body if target in atom.args), key=str)
+    if not holders:
+        return
+    others = [atom for atom in query.body if target not in atom.args]
+    budget = max_atoms - len(others)
+    if budget < len(holders):
+        return
+    target_is_variable = isinstance(target, Variable)
+    if target_is_variable and budget == 1 and holders[0].args.count(target) == 1:
+        return  # a lone occurrence, not duplicated, cannot both move and survive
+    fresh = fresh_variable({v.name for v in query.variables()}, stem="g")
+    variant_lists: list[list[tuple[int, Atom]]] = []
+    full_masks: list[int] = []
+    for atom in holders:
+        positions = [i for i, arg in enumerate(atom.args) if arg == target]
+        variants = []
+        for count in range(len(positions) + 1):
+            for flipped in itertools.combinations(positions, count):
+                args = tuple(
+                    fresh if index in flipped else arg
+                    for index, arg in enumerate(atom.args)
+                )
+                mask = sum(1 << index for index in flipped)
+                variants.append((mask, Atom(atom.relation, args)))
+        variant_lists.append(variants)
+        full_masks.append(sum(1 << index for index in positions))
+
+    def expand(index: int, chosen: list[Atom], remaining: int, tied: bool):
+        # ``tied``: the masks chosen so far equal their mirror image, so the
+        # next holder decides which of the two splits is yielded
+        if index == len(variant_lists):
+            if not any(fresh in atom.args for atom in chosen):
+                return  # nothing moved: identical to the original body
+            atoms = frozenset(others) | frozenset(chosen)
+            if target_is_variable and not any(
+                target in atom.args for atom in atoms
+            ):
+                return  # pure renaming, or a head variable would vanish
+            yield ConjunctiveQuery(query.head, atoms)
+            return
+        pending_holders = len(variant_lists) - index - 1
+        widest = remaining - pending_holders
+        full = full_masks[index]
+        for count in range(1, widest + 1):
+            for subset in itertools.combinations(variant_lists[index], count):
+                still_tied = False
+                if tied:
+                    masks = sorted(mask for mask, _ in subset)
+                    mirror = sorted(full ^ mask for mask, _ in subset)
+                    if mirror > masks:
+                        continue  # the mirror image is yielded instead
+                    still_tied = mirror == masks
+                yield from expand(
+                    index + 1,
+                    chosen + [atom for _, atom in subset],
+                    remaining - count,
+                    still_tied,
+                )
+
+    skip_mirrors = target_is_variable and target not in query.head
+    yield from expand(0, [], budget, skip_mirrors)
+
+
+def splits(query: ConjunctiveQuery, max_atoms: int) -> Iterator[ConjunctiveQuery]:
+    """Yield the inverse substitutions of every variable, then every constant."""
+    variables = sorted(query.variables(), key=lambda v: v.name)
+    constants = sorted(query.constants(), key=lambda c: c.value)
+    for term in (*variables, *constants):
+        yield from inverse_substitutions(query, term, max_atoms)

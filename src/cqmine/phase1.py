@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .containment import (
@@ -30,10 +29,10 @@ from .containment import (
 )
 from .errors import ConfigError
 from .evaluation import GroupedSupport, support, support_grouped
+from .generalization import atom_removals, splits
 from .queries import (
     Atom,
     ConjunctiveQuery,
-    SymbolicConstant,
     Variable,
     canonical_form,
     fresh_symbolic_constant,
@@ -42,7 +41,9 @@ from .queries import (
 )
 from .relational import Instance, Schema
 
-_KEY_ATOM_RE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*_(?:\s*,\s*_)*\s*\)\s*$")
+_KEY_ATOM_RE = re.compile(
+    r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*\((\s*_(?:\s*,\s*_)*\s*)\)\s*$"
+)
 
 
 def parse_key_atom(pattern: str, schema: Schema) -> Atom:
@@ -59,7 +60,7 @@ def parse_key_atom(pattern: str, schema: Schema) -> Atom:
     name = match.group(1)
     if name not in schema:
         raise ConfigError(f"key atom names unknown relation {name!r}")
-    arity = pattern.count("_")
+    arity = match.group(2).count("_")
     declared = schema.relation(name).arity
     if arity != declared:
         raise ConfigError(
@@ -188,32 +189,6 @@ def _used_names(query: ConjunctiveQuery) -> set[str]:
     return {variable.name for variable in query.variables()}
 
 
-def _sorted_body(query: ConjunctiveQuery) -> list[Atom]:
-    return sorted(query.body, key=str)
-
-
-def _variable_sites(query: ConjunctiveQuery, term) -> list[tuple[Atom, int]]:
-    sites = []
-    for atom in _sorted_body(query):
-        for position, arg in enumerate(atom.args):
-            if arg == term:
-                sites.append((atom, position))
-    return sites
-
-
-def _rebuild_body(
-    body: list[Atom], moved: set[tuple[Atom, int]], replacement
-) -> frozenset[Atom]:
-    rebuilt = []
-    for atom in body:
-        args = tuple(
-            replacement if (atom, position) in moved else arg
-            for position, arg in enumerate(atom.args)
-        )
-        rebuilt.append(Atom(atom.relation, args))
-    return frozenset(rebuilt)
-
-
 def _class_of(
     query: ConjunctiveQuery, config: MinerConfig
 ) -> tuple[str, ConjunctiveQuery]:
@@ -318,11 +293,15 @@ def immediate_generalizations(
     """Strictly more general classes one inverse operation away.
 
     Inverse extension removes a body atom, inverse join splits one
-    variable's occurrences in two, inverse selection re-opens a constant to
-    a fresh variable, and inverse projection extends the head by an existing
-    body variable.  Results are minimized and canonically renamed; anything
-    equivalent to (or not actually more general than) the input is dropped,
-    as is anything outside the key-atom language when one is configured.
+    variable's occurrences in two and inverse selection re-opens a literal
+    constant at some of its occurrences; these head-preserving steps come
+    from ``cqmine.generalization``, with a body budget that leaves no room
+    for duplicated atoms.  A symbolic constant re-opens at all its
+    occurrences at once, and inverse projection extends the head by an
+    existing body variable.  Results are minimized and canonically renamed;
+    anything equivalent to (or not actually more general than) the input is
+    dropped, as is anything outside the key-atom language when one is
+    configured.
     """
     base = canonicalize(query)
     results: dict[str, ConjunctiveQuery] = {}
@@ -346,48 +325,17 @@ def immediate_generalizations(
         key, reduced = _class_of(candidate, config)
         results.setdefault(key, reduced)
 
-    head_set = set(base.head)
-    body = _sorted_body(base)
+    # The base body is minimized, so what remains after removing an atom
+    # never maps onto the whole and the result is strictly more general.
+    for candidate in atom_removals(base):
+        add(candidate, check_strict=False)
 
-    # Inverse extension: drop an atom, unless that strands a head variable.
-    # The base body is minimized, so the rest never maps onto the whole and
-    # the result is strictly more general.
-    if len(body) > 1:
-        for atom in body:
-            remaining = base.body - {atom}
-            covered = {
-                term
-                for other in remaining
-                for term in other.args
-                if isinstance(term, Variable)
-            }
-            if head_set <= covered:
-                add(ConjunctiveQuery(base.head, remaining), check_strict=False)
+    # A split can collapse back into the base class, so strictness is checked.
+    for candidate in splits(base, len(base.body)):
+        add(candidate, check_strict=True)
 
-    # Inverse join: split one variable's occurrences between itself and a
-    # fresh variable, every way that leaves both sides non-empty.  A split
-    # can collapse back into the base class, so strictness is checked.  For
-    # a non-head variable the fresh name is interchangeable with the old
-    # one, so complementary splits coincide and only the half where the
-    # first site moves is enumerated.
-    for variable in sorted(base.variables(), key=lambda v: v.name):
-        sites = _variable_sites(base, variable)
-        if len(sites) < 2:
-            continue
-        fresh = fresh_variable(_used_names(base))
-        step = 2 if variable not in head_set else 1
-        for mask in range(1, 2 ** len(sites) - 1, step):
-            moved = {
-                sites[index] for index in range(len(sites)) if mask >> index & 1
-            }
-            add(
-                ConjunctiveQuery(base.head, _rebuild_body(body, moved, fresh)),
-                check_strict=True,
-            )
-
-    # Inverse selection: symbolic constants re-open wholesale (strict, since
-    # no homomorphism can reintroduce the vanished symbol); literal constants
-    # re-open at any non-empty subset of their occurrences.
+    # Symbolic constants re-open wholesale: strict, since no homomorphism can
+    # reintroduce the vanished symbol.
     for symbol in sorted(base.symbolic_constants(), key=lambda s: s.index):
         fresh = fresh_variable(_used_names(base))
         add(
@@ -396,48 +344,53 @@ def immediate_generalizations(
             ),
             check_strict=False,
         )
-    for constant in sorted(base.constants(), key=lambda c: c.value):
-        sites = _variable_sites(base, constant)
-        fresh = fresh_variable(_used_names(base))
-        for mask in range(1, 2 ** len(sites)):
-            moved = {
-                sites[index] for index in range(len(sites)) if mask >> index & 1
-            }
-            add(
-                ConjunctiveQuery(base.head, _rebuild_body(body, moved, fresh)),
-                check_strict=True,
-            )
 
     # Inverse projection: put an existing non-head variable into the head.
     # The wider head can never be covered back, so the result is strict.
     if config.key_atom is None:
+        head_set = set(base.head)
         for variable in sorted(base.variables() - head_set, key=lambda v: v.name):
             add(ConjunctiveQuery(base.head + (variable,), base.body), check_strict=False)
 
     return [results[key] for key in sorted(results)]
 
 
-def prune_candidates(
-    candidates: list[ConjunctiveQuery], state: MinerState
-) -> list[ConjunctiveQuery]:
-    """Keep the candidates whose every immediate generalization is frequent.
+ADMIT = "admit"
+PRUNE = "prune"
+DEFER = "defer"
 
-    Candidates already seen (any earlier level, either outcome) are dropped
-    outright.  The rest are admitted only when all their generalizations are
-    in the frequent index; callers decide what to do with the remainder.
+
+def admission(
+    key: str,
+    query: ConjunctiveQuery,
+    state: MinerState,
+    parents: dict[str, list[str]],
+) -> str:
+    """What the search does with one pooled candidate of class ``key``.
+
+    ``ADMIT``: every immediate generalization is frequent, so the candidate
+    is evaluated.  ``PRUNE``: the candidate leaves the pool unevaluated,
+    either because its class is already classified or because one of its
+    generalizations is infrequent; support never grows under
+    specialization, so in the second case the class is recorded infrequent.
+    ``DEFER``: some generalization is not classified yet, so the candidate
+    waits for a later iteration.  ``parents`` memoizes each class's
+    generalization keys across calls.
     """
-    seen = state.candidate_keys()
-    admitted = []
-    for candidate in candidates:
-        key = state.key(candidate)
-        if key in seen:
-            continue
-        generalizations = immediate_generalizations(candidate, state.config)
-        if all(
-            state.key(parent) in state.frequent_index for parent in generalizations
-        ):
-            admitted.append(candidate)
-    return admitted
+    if key in state.frequent_index or key in state.infrequent_index:
+        return PRUNE
+    parent_keys = parents.get(key)
+    if parent_keys is None:
+        parent_keys = parents[key] = [
+            state.key(parent)
+            for parent in immediate_generalizations(query, state.config)
+        ]
+    if any(parent in state.infrequent_index for parent in parent_keys):
+        state.infrequent_index.add(key)
+        return PRUNE
+    if all(parent in state.frequent_index for parent in parent_keys):
+        return ADMIT
+    return DEFER
 
 
 def _measure(
@@ -455,19 +408,16 @@ def _measure(
     return count, None
 
 
-def run_phase1(instance: Instance, config: MinerConfig, jobs: int = 1) -> MinerState:
+def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
     """Mine every frequent query class reachable within the configured language.
 
-    Each iteration admits the pooled candidates whose generalizations are all
-    frequent, evaluates them (in parallel when ``jobs`` exceeds one), then
-    refills the pool with the specializations of the newly frequent classes.
-    Classes with a known-infrequent generalization are discarded unevaluated.
-    The run ends when an iteration admits nothing.
+    Each iteration runs every pooled candidate through ``admission``,
+    evaluates the admitted ones, then refills the pool with the
+    specializations of the newly frequent classes.  The run ends when an
+    iteration admits nothing.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     state = MinerState(config=config, schema=instance.schema)
-    generalization_cache: dict[str, list[str]] = {}
+    parents: dict[str, list[str]] = {}
 
     pending: dict[str, ConjunctiveQuery] = {}
     for query in initial_candidates(instance.schema, config):
@@ -480,36 +430,18 @@ def run_phase1(instance: Instance, config: MinerConfig, jobs: int = 1) -> MinerS
         still_pending: dict[str, ConjunctiveQuery] = {}
         for key in sorted(pending):
             query = pending[key]
-            if key in state.frequent_index or key in state.infrequent_index:
-                continue
-            if key not in generalization_cache:
-                generalization_cache[key] = [
-                    state.key(parent)
-                    for parent in immediate_generalizations(query, config)
-                ]
-            parent_keys = generalization_cache[key]
-            if any(parent in state.infrequent_index for parent in parent_keys):
-                state.infrequent_index.add(key)
-                continue
-            if all(parent in state.frequent_index for parent in parent_keys):
+            verdict = admission(key, query, state, parents)
+            if verdict == ADMIT:
                 admitted.append((key, query))
-            else:
+            elif verdict == DEFER:
                 still_pending[key] = query
 
         if not admitted:
             break
 
-        queries = [query for _, query in admitted]
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as executor:
-                outcomes = list(
-                    executor.map(lambda q: _measure(q, instance, config.minsup), queries)
-                )
-        else:
-            outcomes = [_measure(query, instance, config.minsup) for query in queries]
-
         frequent_keys = []
-        for (key, query), outcome in zip(admitted, outcomes):
+        for key, query in admitted:
+            outcome = _measure(query, instance, config.minsup)
             if outcome is None:
                 state.infrequent_index.add(key)
                 continue

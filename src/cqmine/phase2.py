@@ -7,8 +7,8 @@ antecedent, this fraction also satisfies the consequent".
 
 For each frequent consequent the search walks from the consequent itself
 (the most confident rule possible) toward ever more general antecedents.
-Generalization steps are the inverses of the specialization rewritings that
-built the query in the first place: removing an atom, splitting a merged
+Generalization steps (``cqmine.generalization``) are the inverses of the
+specialization rewritings that built the query in the first place: removing an atom, splitting a merged
 variable apart, and relaxing a constant back into a variable.  Because
 merging variables or substituting constants can collapse two distinct atoms
 into one, undoing those steps may have to *duplicate* an atom, and the walk
@@ -26,30 +26,20 @@ abandoned without losing any confident rule.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .containment import minimize
 from .errors import ConfigError
 from .evaluation import support
+from .generalization import atom_removals, splits
 from .phase1 import MinerState
-from .queries import (
-    Atom,
-    ConjunctiveQuery,
-    Term,
-    Variable,
-    canonical_form,
-    fresh_variable,
-    instantiate,
-    render_query,
-)
+from .queries import ConjunctiveQuery, canonical_form, instantiate, render_query
 from .relational import Instance
 
 __all__ = [
     "AssociationRule",
     "RuleConfig",
-    "antecedent_generalizations",
     "run_phase2",
 ]
 
@@ -106,116 +96,6 @@ class AssociationRule:
             raise ConfigError(
                 f"rule confidence must lie in (0, 1], got {self.confidence}"
             )
-
-
-# ---------------------------------------------------------------------------
-# single-step generalization
-# ---------------------------------------------------------------------------
-
-
-def _inverse_substitutions(
-    query: ConjunctiveQuery, target: Term, max_atoms: int
-):
-    """Yield every query that one substitution ``fresh -> target`` maps onto ``query``.
-
-    This is the shared inverse of variable merging and constant selection.
-    Each atom containing ``target`` is replaced by a non-empty set of
-    variants, where a variant renames some of that atom's ``target``
-    positions to a fresh variable; substituting the fresh variable back
-    restores exactly the original body.  Atoms may gain several variants —
-    that re-expands atoms the forward substitution had collapsed together —
-    bounded by ``max_atoms``.  A variable target must survive somewhere
-    (else the rewrite is a mere renaming, or drops a head variable); a
-    constant target may disappear entirely.
-    """
-    body = sorted(query.body, key=str)
-    holders = [atom for atom in body if target in atom.args]
-    if not holders:
-        return
-    others = [atom for atom in body if target not in atom.args]
-    budget = max_atoms - len(others)
-    if budget < len(holders):
-        return
-    fresh = fresh_variable({v.name for v in query.variables()}, stem="g")
-    variant_lists: list[list[Atom]] = []
-    for atom in holders:
-        positions = [i for i, arg in enumerate(atom.args) if arg == target]
-        variants = []
-        for count in range(len(positions) + 1):
-            for flipped in itertools.combinations(positions, count):
-                args = tuple(
-                    fresh if index in flipped else arg
-                    for index, arg in enumerate(atom.args)
-                )
-                variants.append(Atom(atom.relation, args))
-        variant_lists.append(variants)
-    target_is_variable = isinstance(target, Variable)
-
-    def expand(index: int, chosen: list[Atom], remaining: int):
-        if index == len(variant_lists):
-            if not any(fresh in atom.args for atom in chosen):
-                return  # nothing moved: identical to the original body
-            atoms = frozenset(others) | frozenset(chosen)
-            if target_is_variable and not any(
-                target in atom.args for atom in atoms
-            ):
-                return  # pure renaming, or a head variable would vanish
-            yield ConjunctiveQuery(query.head, atoms)
-            return
-        pending_holders = len(variant_lists) - index - 1
-        widest = remaining - pending_holders
-        for count in range(1, widest + 1):
-            for subset in itertools.combinations(variant_lists[index], count):
-                yield from expand(index + 1, chosen + list(subset), remaining - count)
-
-    yield from expand(0, [], budget)
-
-
-def _raw_generalization_steps(query: ConjunctiveQuery, max_atoms: int):
-    """Yield the results of one inverse rewriting applied to ``query``.
-
-    The head is preserved exactly, so every result contains ``query`` in the
-    regular sense: the substitution (or atom inclusion) being undone is a
-    homomorphism from the result's body back onto ``query``'s that fixes
-    every head variable.
-    """
-    head_vars = set(query.head)
-    body = sorted(query.body, key=str)
-    if len(body) > 1:
-        for atom in body:
-            rest = frozenset(other for other in body if other != atom)
-            rest_vars = {
-                term
-                for other in rest
-                for term in other.args
-                if isinstance(term, Variable)
-            }
-            if head_vars <= rest_vars:
-                yield ConjunctiveQuery(query.head, rest)
-    variables = sorted(query.variables(), key=lambda v: v.name)
-    constants = sorted(query.constants(), key=lambda c: c.value)
-    for term in (*variables, *constants):
-        yield from _inverse_substitutions(query, term, max_atoms)
-
-
-def antecedent_generalizations(
-    query: ConjunctiveQuery, max_atoms: int
-) -> list[ConjunctiveQuery]:
-    """Strictly more general queries one inverse step away, same head.
-
-    Results are minimized and canonically renamed, deduplicated, and sorted
-    by their canonical text.  Rewritings whose minimized form is equivalent
-    to ``query`` itself are dropped; the rule search still travels through
-    them internally, because a later step applied to the redundant body can
-    reach antecedents that no single step produces.
-    """
-    base_text, base = canonical_form(minimize(query))
-    found: dict[str, ConjunctiveQuery] = {}
-    for raw in _raw_generalization_steps(base, max_atoms):
-        text, reduced = canonical_form(minimize(raw))
-        if text != base_text:
-            found.setdefault(text, reduced)
-    return [found[key] for key in sorted(found)]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +182,8 @@ def _rules_for_consequent(
     while frontier:
         next_frontier: list[ConjunctiveQuery] = []
         for form in frontier:
-            for raw in _raw_generalization_steps(form, max_atoms):
+            steps = itertools.chain(atom_removals(form), splits(form, max_atoms))
+            for raw in steps:
                 raw_text, raw_form = canonical_form(raw)
                 if raw_text in visited:
                     continue
@@ -328,36 +209,22 @@ def run_phase2(
     state: MinerState,
     instance: Instance,
     config: RuleConfig,
-    *,
-    jobs: int = 1,
 ) -> list[AssociationRule]:
     """Generate every confident association rule over the discovered queries.
 
     Each frequent query (with placeholders instantiated) is taken in turn as
     a consequent, and its antecedents are explored from most to least
-    confident.  Searches for different consequents are independent; with
-    ``jobs`` above one they run on a thread pool, sharing the
-    antecedent-support memo (concurrent writers only ever store identical
-    values for a key, so the map stays consistent).  The result is sorted by
+    confident, sharing one antecedent-support memo.  The result is sorted by
     descending confidence, then antecedent and consequent text.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    consequents = _consequent_queries(state)
     memo: dict[str, int] = {}
-
-    def explore(entry: tuple[ConjunctiveQuery, int]) -> list[AssociationRule]:
-        consequent, consequent_support = entry
-        return _rules_for_consequent(
+    rules = [
+        rule
+        for consequent, consequent_support in _consequent_queries(state)
+        for rule in _rules_for_consequent(
             consequent, consequent_support, state, instance, config, memo
         )
-
-    if jobs == 1:
-        batches = [explore(entry) for entry in consequents]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(explore, consequents))
-    rules = [rule for batch in batches for rule in batch]
+    ]
     rules.sort(
         key=lambda rule: (
             -rule.confidence,

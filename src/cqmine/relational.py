@@ -98,11 +98,12 @@ class Instance:
 def load_schema(path: str | Path) -> Schema:
     """Parse a schema file: one ``name(col1, col2, ...)`` declaration per line.
 
-    Blank lines and ``#`` comments are ignored.
+    Blank lines and ``#`` comments are ignored, as is a leading UTF-8 byte
+    order mark.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
     decls: list[RelationDecl] = []
@@ -128,7 +129,11 @@ def load_schema(path: str | Path) -> Schema:
 
 
 def load_instance(schema: Schema, data_dir: str | Path) -> Instance:
-    """Load one headerless ``<relation>.csv`` file per schema relation."""
+    """Load one headerless ``<relation>.csv`` file per schema relation.
+
+    A leading UTF-8 byte order mark is skipped rather than read as part of
+    the first value.
+    """
     data_dir = Path(data_dir)
     tables: dict[str, frozenset[tuple[str, ...]]] = {}
     for decl in schema.relations:
@@ -136,7 +141,7 @@ def load_instance(schema: Schema, data_dir: str | Path) -> Instance:
         if not csv_path.is_file():
             raise DataError(f"missing data file for relation {decl.name!r}: {csv_path}")
         rows: set[tuple[str, ...]] = set()
-        with open(csv_path, newline="", encoding="utf-8") as handle:
+        with open(csv_path, newline="", encoding="utf-8-sig") as handle:
             for lineno, record in enumerate(csv.reader(handle), start=1):
                 if not record:
                     continue

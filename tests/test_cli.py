@@ -142,25 +142,6 @@ def test_key_atom_flag_anchors_the_language(capsys):
     assert all("visits" in line for line in body_lines)
 
 
-def test_jobs_flag_does_not_change_output(tmp_path):
-    lone = run_cli(
-        "mine", "--schema", SCHEMA, "--data", str(BEER),
-        "--minsup", "2", "--max-atoms", "1", "--out-dir", str(tmp_path / "one"),
-    )
-    pooled = run_cli(
-        "mine", "--schema", SCHEMA, "--data", str(BEER),
-        "--minsup", "2", "--max-atoms", "1", "--jobs", "3",
-        "--out-dir", str(tmp_path / "three"),
-    )
-    assert lone.returncode == 0 and pooled.returncode == 0
-    assert (tmp_path / "one" / "frequent.txt").read_bytes() == (
-        tmp_path / "three" / "frequent.txt"
-    ).read_bytes()
-    assert (tmp_path / "one" / "rules.txt").read_bytes() == (
-        tmp_path / "three" / "rules.txt"
-    ).read_bytes()
-
-
 def test_large_max_atoms_warns(tmp_path, capsys):
     schema = tmp_path / "schema.txt"
     schema.write_text("likes(drinker, beer)\n", encoding="utf-8")

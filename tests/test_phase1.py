@@ -6,15 +6,19 @@ from cqmine.containment import canonical_key, is_diagonally_contained, is_equiva
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support
 from cqmine.phase1 import (
+    ADMIT,
+    DEFER,
+    PRUNE,
     MinerConfig,
+    admission,
     initial_candidates,
     immediate_generalizations,
     parse_key_atom,
-    prune_candidates,
     run_phase1,
     specializations,
 )
 from cqmine.queries import Atom, parse_query, render_query
+from cqmine.relational import RelationDecl, Schema
 
 
 def key_of(text, schema=None):
@@ -39,11 +43,6 @@ def test_max_atoms_must_be_positive():
         MinerConfig(minsup=1, max_atoms=0)
 
 
-def test_jobs_must_be_positive(beer_instance):
-    with pytest.raises(ConfigError):
-        run_phase1(beer_instance, MinerConfig(minsup=2), jobs=0)
-
-
 def test_parse_key_atom(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
     assert atom.relation == "likes"
@@ -59,6 +58,16 @@ def test_parse_key_atom_rejects_unknown_relation(beer_schema):
 def test_parse_key_atom_rejects_wrong_arity(beer_schema):
     with pytest.raises(ConfigError):
         parse_key_atom("likes(_)", beer_schema)
+
+
+def test_parse_key_atom_counts_only_placeholders():
+    # underscores in the relation name are not argument positions
+    schema = Schema((RelationDecl("has_tag", ("item", "tag")),))
+    atom = parse_key_atom("has_tag(_, _)", schema)
+    assert atom.relation == "has_tag"
+    assert len(set(atom.args)) == 2
+    with pytest.raises(ConfigError, match="has 1 positions"):
+        parse_key_atom("has_tag(_)", schema)
 
 
 def test_parse_key_atom_rejects_malformed(beer_schema):
@@ -267,10 +276,19 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
 # pruning
 
 
+def verdict_for(query, state):
+    return admission(state.key(query), query, state, {})
+
+
 def test_prune_drops_already_seen_classes(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
     renamed = parse_query("Q(a,b,c) :- likes(a,b), likes(a,c)")
-    assert prune_candidates([renamed], state) == []
+    key = state.key(renamed)
+    assert key in state.frequent_index
+    assert verdict_for(renamed, state) == PRUNE
+    # dropping a settled class from the pool leaves its classification alone
+    assert key in state.frequent_index
+    assert key not in state.infrequent_index
 
 
 def test_prune_admits_class_with_frequent_parents(beer_instance):
@@ -278,18 +296,26 @@ def test_prune_admits_class_with_frequent_parents(beer_instance):
         beer_instance, MinerConfig(minsup=2, max_atoms=2, enable_constants=False)
     )
     candidate = parse_query("Q(x1) :- likes(x1,$c1)")
-    admitted = prune_candidates([candidate], state)
-    assert keys(admitted) == {key_of("Q(x1) :- likes(x1,$c1)")}
+    assert verdict_for(candidate, state) == ADMIT
 
 
 def test_prune_blocks_class_with_unknown_parent(beer_instance):
     state = run_phase1(
         beer_instance, MinerConfig(minsup=2, max_atoms=2, enable_constants=False)
     )
-    # this class generalizes (among others) to the never-admitted chain
-    # projection, so its parents are not all known frequent
+    # this class generalizes (among others) to the chain join, which the run
+    # evaluated and found infrequent, so the class itself was never admitted
     candidate = parse_query("Q(x1,x2) :- likes(x1,x2), likes(x2,x3)")
-    assert prune_candidates([candidate], state) == []
+    chain = state.key(parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x2,x3)"))
+    key = state.key(candidate)
+    assert key in state.infrequent_index and chain in state.infrequent_index
+    state.infrequent_index.discard(key)
+    assert verdict_for(candidate, state) == PRUNE
+    assert key in state.infrequent_index
+    # while the chain join is still unclassified, the candidate waits
+    state.infrequent_index -= {key, chain}
+    assert verdict_for(candidate, state) == DEFER
+    assert key not in state.infrequent_index
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +478,7 @@ def test_run_is_deterministic_and_jobs_invariant(beer_instance):
     config = MinerConfig(minsup=2, max_atoms=2)
     first = snapshot(run_phase1(beer_instance, config))
     second = snapshot(run_phase1(beer_instance, config))
-    third = snapshot(run_phase1(beer_instance, config, jobs=3))
     assert first == second
-    assert first == third
 
 
 def test_run_no_two_frequent_classes_equivalent(beer_run):

@@ -81,6 +81,17 @@ def test_load_instance_collapses_duplicates(tmp_path: Path):
     assert inst.rows("r") == frozenset({("1", "2"), ("3", "4")})
 
 
+def test_load_instance_and_schema_skip_byte_order_mark(tmp_path: Path):
+    (tmp_path / "schema.txt").write_text("\ufefflikes(drinker, beer)\n", encoding="utf-8")
+    (tmp_path / "likes.csv").write_text(
+        "\ufeffAlice,Duvel\nAlice,Westmalle\n", encoding="utf-8"
+    )
+    schema = load_schema(tmp_path / "schema.txt")
+    assert schema.names() == ("likes",)
+    inst = load_instance(schema, tmp_path)
+    assert inst.rows("likes") == frozenset({("Alice", "Duvel"), ("Alice", "Westmalle")})
+
+
 def test_load_instance_missing_file(tmp_path: Path):
     (tmp_path / "schema.txt").write_text("r(a)\n")
     schema = load_schema(tmp_path / "schema.txt")

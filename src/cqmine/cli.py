@@ -108,16 +108,14 @@ def cmd_mine(manifest: RunManifest) -> int:
 
     if manifest.out_dir is not None:
         manifest.out_dir.mkdir(parents=True, exist_ok=True)
-        frequent_text = "".join(line + "\n" for line in frequent_lines)
-        rule_text = "".join(line + "\n" for line in rule_lines)
-        (manifest.out_dir / "frequent.txt").write_text(frequent_text, encoding="utf-8")
-        (manifest.out_dir / "rules.txt").write_text(rule_text, encoding="utf-8")
-        (manifest.out_dir / "run.json").write_text(
-            dump_json(payload), encoding="utf-8"
-        )
+        for name, lines in (("frequent.txt", frequent_lines), ("rules.txt", rule_lines)):
+            with open(manifest.out_dir / name, "w", encoding="utf-8") as handle:
+                handle.writelines(line + "\n" for line in lines)
+        with open(manifest.out_dir / "run.json", "w", encoding="utf-8") as handle:
+            dump_json(payload, handle)
         return 0
     if manifest.format == "structured":
-        sys.stdout.write(dump_json(payload))
+        dump_json(payload, sys.stdout)
         return 0
     print(f"# frequent queries: {len(frequent_lines)}")
     for line in frequent_lines:

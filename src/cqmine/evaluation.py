@@ -1,86 +1,53 @@
-"""In-memory evaluation of conjunctive queries over an instance.
+"""Evaluation of conjunctive queries over an instance.
 
 The answer of a query is the set of head tuples produced by matchings, where
 a matching assigns a constant to every variable so that each body atom lands
 on a row of its relation.  Support is the number of distinct answer tuples.
 
 Queries with symbolic constants are evaluated grouped: each assignment of the
-placeholders to constants gets its own support count.
+placeholders to constants gets its own support count.  Every query runs as
+the SQL that ``cqmine.sqlgen`` renders, on the instance's sqlite3 database;
+a database error becomes a ``QueryError``.
 """
 
 from __future__ import annotations
 
+import sqlite3
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import QueryError
-from .queries import (
-    Atom,
-    ConjunctiveQuery,
-    Constant,
-    SymbolicConstant,
-    Variable,
-    check_against_schema,
-    fresh_variable,
-    substitute_terms,
-)
+from .queries import ConjunctiveQuery, SymbolicConstant
 from .relational import Instance
+from .sqlgen import count_sql, emit_sql
+
+
+def _fetch(
+    render: Callable[..., str], query: ConjunctiveQuery, instance: Instance, **params
+) -> list[tuple]:
+    sql = render(query, instance.schema, params)
+    try:
+        return instance.database.execute(sql, params).fetchall()
+    except sqlite3.Error as exc:
+        raise QueryError(f"query cannot be evaluated: {exc}") from exc
+
+
+def _require_plain(query: ConjunctiveQuery) -> None:
+    if query.symbolic_constants():
+        raise QueryError("query contains symbolic constants; use support_grouped")
 
 
 def evaluate(query: ConjunctiveQuery, instance: Instance) -> frozenset[tuple[str, ...]]:
-    """The answer set of a symbolic-constant-free query on an instance.
-
-    Atoms are matched most-bound-first, smallest-relation-first; the heuristic
-    affects only running time, never the result.
-    """
-    if query.symbolic_constants():
-        raise QueryError(
-            "query contains symbolic constants; use support_grouped instead"
-        )
-    check_against_schema(query, instance.schema)
-    rows_for: dict[Atom, frozenset[tuple[str, ...]]] = {
-        atom: instance.rows(atom.relation) for atom in query.body
-    }
-    answers: set[tuple[str, ...]] = set()
-
-    def rank(atom: Atom, env: dict[Variable, str]) -> tuple[int, int, str]:
-        bound = sum(
-            1 for t in atom.args if isinstance(t, Constant) or t in env
-        )
-        return (-bound, len(rows_for[atom]), str(atom))
-
-    def rec(remaining: list[Atom], env: dict[Variable, str]) -> None:
-        if not remaining:
-            answers.add(tuple(env[v] for v in query.head))
-            return
-        atom = min(remaining, key=lambda a: rank(a, env))
-        rest = [a for a in remaining if a is not atom]
-        for row in rows_for[atom]:
-            new_env = env
-            ok = True
-            for term, value in zip(atom.args, row):
-                if isinstance(term, Constant):
-                    if term.value != value:
-                        ok = False
-                        break
-                else:
-                    bound = new_env.get(term)
-                    if bound is None:
-                        if new_env is env:
-                            new_env = dict(env)
-                        new_env[term] = value
-                    elif bound != value:
-                        ok = False
-                        break
-            if ok:
-                rec(rest, new_env)
-
-    rec(list(query.body), {})
-    return frozenset(answers)
+    """The answer set of a symbolic-constant-free query on an instance."""
+    _require_plain(query)
+    return frozenset(_fetch(emit_sql, query, instance))
 
 
 def support(query: ConjunctiveQuery, instance: Instance) -> int:
-    """Number of distinct answer tuples."""
-    return len(evaluate(query, instance))
+    """Number of distinct answer tuples, counted without building them."""
+    _require_plain(query)
+    [(count,)] = _fetch(count_sql, query, instance)
+    return count
 
 
 @dataclass(frozen=True)
@@ -110,30 +77,10 @@ def support_grouped(
 ) -> GroupedSupport:
     """Grouped evaluation: support per symbolic-constant assignment.
 
-    Placeholders are treated as extra answer variables in a single evaluation
-    pass; distinct head tuples are then counted per assignment, and
-    assignments with support below ``minsup`` are omitted.
+    Assignments with support below ``minsup`` are omitted.
     """
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
     if not symbols:
         raise QueryError("query has no symbolic constants; use support/evaluate")
-    used = {v.name for v in query.variables()}
-    stand_ins: list[Variable] = []
-    for _ in symbols:
-        var = fresh_variable(used, stem="g")
-        used.add(var.name)
-        stand_ins.append(var)
-    mapping = dict(zip(symbols, stand_ins))
-    widened = ConjunctiveQuery(
-        query.head + tuple(stand_ins), substitute_terms(query.body, mapping)
-    )
-    arity = query.arity
-    per_assignment: dict[tuple[str, ...], set[tuple[str, ...]]] = {}
-    for row in evaluate(widened, instance):
-        per_assignment.setdefault(row[arity:], set()).add(row[:arity])
-    counts = {
-        values: len(heads)
-        for values, heads in per_assignment.items()
-        if len(heads) >= minsup
-    }
-    return GroupedSupport(symbols, counts)
+    rows = _fetch(emit_sql, query, instance, minsup=minsup)
+    return GroupedSupport(symbols, {tuple(row[:-1]): row[-1] for row in rows})

@@ -76,7 +76,8 @@ class MinerConfig:
 
     minsup: minimum number of answers (for queries with symbolic constants,
         of the best single assignment) for a query to count as frequent.
-    max_atoms: largest body size explored.
+    max_atoms: largest body size explored, at most 64: one sqlite3 join
+        holds at most 64 tables, one per body atom.
     enable_constants: when False, the selection operation is switched off and
         no symbolic-constant queries are generated.
     key_atom: optional atom every explored query must contain, with the
@@ -94,8 +95,8 @@ class MinerConfig:
     def __post_init__(self) -> None:
         if self.minsup < 1:
             raise ConfigError(f"minsup must be at least 1, got {self.minsup}")
-        if self.max_atoms < 1:
-            raise ConfigError(f"max_atoms must be at least 1, got {self.max_atoms}")
+        if not 1 <= self.max_atoms <= 64:
+            raise ConfigError(f"max_atoms must be from 1 to 64, got {self.max_atoms}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,14 +202,14 @@ def _class_of(
 
 def specializations(
     query: ConjunctiveQuery, schema: Schema, config: MinerConfig
-) -> list[ConjunctiveQuery]:
-    """All immediate refinements of a query's class, one per resulting class.
+) -> dict[str, ConjunctiveQuery]:
+    """All immediate refinements of a query's class, keyed by class, in key order.
 
     Four operations generate refinements: extending the body with a new atom
     over fresh variables, joining two variables into one, selecting a
     non-head variable to a symbolic constant, and projecting away a head
-    position.  Results are minimized and canonically renamed; refinements
-    that collapse back into the input's own class are dropped.
+    position.  Results are minimized, canonically renamed and keyed as by
+    ``MinerState.key``; refinements back in the input's own class are dropped.
     """
     base = canonicalize(query)
     self_key, _ = _class_of(base, config)
@@ -284,13 +285,13 @@ def specializations(
             head = base.head[:position] + base.head[position + 1 :]
             add(ConjunctiveQuery(head, base.body))
 
-    return [results[key] for key in sorted(results)]
+    return {key: results[key] for key in sorted(results)}
 
 
 def immediate_generalizations(
     query: ConjunctiveQuery, config: MinerConfig
-) -> list[ConjunctiveQuery]:
-    """Strictly more general classes one inverse operation away.
+) -> dict[str, ConjunctiveQuery]:
+    """Strictly more general classes one inverse operation away, keyed by class.
 
     Inverse extension removes a body atom, inverse join splits one
     variable's occurrences in two and inverse selection re-opens a literal
@@ -298,10 +299,10 @@ def immediate_generalizations(
     from ``cqmine.generalization``, with a body budget that leaves no room
     for duplicated atoms.  A symbolic constant re-opens at all its
     occurrences at once, and inverse projection extends the head by an
-    existing body variable.  Results are minimized and canonically renamed;
-    anything equivalent to (or not actually more general than) the input is
-    dropped, as is anything outside the key-atom language when one is
-    configured.
+    existing body variable.  Results are minimized, canonically renamed and
+    keyed as by ``MinerState.key``; anything equivalent to (or not actually
+    more general than) the input is dropped, as is anything outside the
+    key-atom language when one is configured.
     """
     base = canonicalize(query)
     results: dict[str, ConjunctiveQuery] = {}
@@ -352,7 +353,7 @@ def immediate_generalizations(
         for variable in sorted(base.variables() - head_set, key=lambda v: v.name):
             add(ConjunctiveQuery(base.head + (variable,), base.body), check_strict=False)
 
-    return [results[key] for key in sorted(results)]
+    return {key: results[key] for key in sorted(results)}
 
 
 ADMIT = "admit"
@@ -381,10 +382,9 @@ def admission(
         return PRUNE
     parent_keys = parents.get(key)
     if parent_keys is None:
-        parent_keys = parents[key] = [
-            state.key(parent)
-            for parent in immediate_generalizations(query, state.config)
-        ]
+        parent_keys = parents[key] = list(
+            immediate_generalizations(query, state.config)
+        )
     if any(parent in state.infrequent_index for parent in parent_keys):
         state.infrequent_index.add(key)
         return PRUNE
@@ -453,8 +453,8 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
                 frequent_constants=grouped,
             )
             frequent_keys.append(key)
-            for child in specializations(query, instance.schema, config):
-                child_key = state.key(child)
+            children = specializations(query, instance.schema, config)
+            for child_key, child in children.items():
                 if (
                     child_key not in state.frequent_index
                     and child_key not in state.infrequent_index

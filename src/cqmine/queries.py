@@ -12,10 +12,12 @@ import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .errors import QueryError
-from .relational import Schema
+
+if TYPE_CHECKING:
+    from .relational import Schema
 
 
 @dataclass(frozen=True, slots=True, eq=False)

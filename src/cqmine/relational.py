@@ -2,17 +2,20 @@
 
 A schema declares named relations with fixed arity and column names; an
 instance assigns each relation a finite set of constant tuples.  Both are
-immutable once loaded.
+immutable once loaded; an instance's rows are also served as sqlite3 tables.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import re
+import sqlite3
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import DataError, SchemaError
+from .sqlgen import table_sql
 
 _DECL_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<cols>[^()]*)\s*\)$"
@@ -87,12 +90,15 @@ class Instance:
             tables[decl.name] = rows
         object.__setattr__(self, "tables", tables)
 
-    def rows(self, relation: str) -> frozenset[tuple[str, ...]]:
-        self.schema.relation(relation)
-        return self.tables[relation]
-
-    def size(self) -> int:
-        return sum(len(rows) for rows in self.tables.values())
+    @functools.cached_property
+    def database(self) -> sqlite3.Connection:
+        """The rows as an in-memory sqlite3 database, built on first use."""
+        connection = sqlite3.connect(":memory:")
+        for decl in self.schema.relations:
+            create, insert = table_sql(decl)
+            connection.execute(create)
+            connection.executemany(insert, self.tables[decl.name])
+        return connection
 
 
 def load_schema(path: str | Path) -> Schema:

@@ -9,7 +9,7 @@ reports can be re-derived from it.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, TextIO
 
 from .phase1 import MinerState, QueryRecord
 from .phase2 import AssociationRule
@@ -118,5 +118,7 @@ def run_dump(
     }
 
 
-def dump_json(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def dump_json(payload: dict[str, Any], handle: TextIO) -> None:
+    """Write the structured dump to a text stream, chunk by chunk."""
+    json.dump(payload, handle, indent=2, ensure_ascii=False)
+    handle.write("\n")

@@ -20,6 +20,7 @@ from cqmine.queries import (
     Variable,
     instantiate,
 )
+from cqmine.relational import Instance, Schema
 
 Tables = Mapping[str, Iterable[tuple[str, ...]]]
 
@@ -159,3 +160,18 @@ def random_query(
         body_vars = [vars_pool[0]]
     head = tuple(rng.sample(body_vars, rng.randint(1, min(3, len(body_vars)))))
     return ConjunctiveQuery(head, frozenset(atoms))
+
+
+def random_instance(rng: random.Random, beer_schema: Schema, max_rows: int = 12) -> Instance:
+    """Up to ``max_rows`` random rows per beer relation over small value pools."""
+    drinkers = ["d1", "d2", "d3", "d4"]
+    beers = ["b1", "b2", "b3"]
+    bars = ["p1", "p2", "p3"]
+    pools = {"likes": (drinkers, beers), "visits": (drinkers, bars), "serves": (bars, beers)}
+    tables = {}
+    for name, (left, right) in pools.items():
+        n = rng.randint(0, max_rows)
+        tables[name] = frozenset(
+            (rng.choice(left), rng.choice(right)) for _ in range(n)
+        )
+    return Instance(beer_schema, tables)

@@ -87,6 +87,19 @@ def test_text_reports_rederivable_from_structured_dump(mine_out):
     assert rebuilt == (mine_out / "rules.txt").read_text(encoding="utf-8")
 
 
+def test_structured_stdout_equals_run_json(mine_out):
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", SCHEMA,
+            "--data", str(BEER), "--minsup", "2", "--minconf", "1.0",
+            "--format", "structured",
+        ],
+        capture_output=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (mine_out / "run.json").read_bytes()
+
+
 def test_mine_stdout_text_format(capsys):
     rc = main([
         "mine", "--schema", SCHEMA, "--data", str(BEER),
@@ -260,3 +273,87 @@ def test_sql_subcommand_prints_select(capsys):
     out = capsys.readouterr().out
     assert out.startswith("SELECT")
     assert ":minsup" in out
+
+
+# ---------------------------------------------------------------------------
+# names and values that SQL text must carry unchanged
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def keyword_data(tmp_path):
+    """Relation and column names that are SQL keywords; values with a NUL
+    character and with leading zeros."""
+    (tmp_path / "schema.txt").write_text("order(group, select)\n", encoding="utf-8")
+    (tmp_path / "order.csv").write_text(
+        "a\0b,1\nc,01\nc,1\nd,1\n", encoding="utf-8"
+    )
+    return tmp_path
+
+
+def _eval(data, query, *extra):
+    return main([
+        "eval", "--schema", str(data / "schema.txt"), "--data", str(data),
+        *extra, query,
+    ])
+
+
+def test_eval_keyword_names(keyword_data, capsys):
+    assert _eval(keyword_data, "Q(from, where) :- order(from, where).") == 0
+    assert capsys.readouterr().out == (
+        "a\0b\t1\nc\t01\nc\t1\nd\t1\nsupport\t4\n"
+    )
+
+
+def test_eval_value_with_nul(keyword_data, capsys):
+    assert _eval(keyword_data, "Q(x) :- order(x, y), order('a\0b', y).") == 0
+    assert capsys.readouterr().out == "a\0b\nc\nd\nsupport\t3\n"
+
+
+def test_eval_keeps_leading_zeros_apart(keyword_data, capsys):
+    assert _eval(keyword_data, "Q(x) :- order(x, '01').") == 0
+    assert capsys.readouterr().out == "c\nsupport\t1\n"
+    assert _eval(keyword_data, "Q(x) :- order(x, $c1).") == 0
+    assert capsys.readouterr().out == "$c1\tsupport\n1\t3\n01\t1\n"
+
+
+def test_mine_keyword_names_nul_and_leading_zeros(keyword_data, tmp_path):
+    out = tmp_path / "out"
+    assert main([
+        "mine", "--schema", str(keyword_data / "schema.txt"),
+        "--data", str(keyword_data), "--minsup", "1", "--out-dir", str(out),
+    ]) == 0
+    frequent = (out / "frequent.txt").read_text(encoding="utf-8").splitlines()
+    assert "4\tQ(x1, x2) :- order(x1, x2)." in frequent
+    assert "3\tQ(x1) :- order(x1, $c1)." in frequent
+    assert "  3\tQ(x1) :- order(x1, '1')." in frequent
+    assert "  1\tQ(x1) :- order(x1, '01')." in frequent
+    assert "  1\tQ(x1) :- order('a\0b', x1)." in frequent
+
+
+# ---------------------------------------------------------------------------
+# the 64-table join limit
+# ---------------------------------------------------------------------------
+
+
+def _chain(atoms):
+    return "Q(x1) :- " + ", ".join(
+        f"likes(x{i}, x{i + 1})" for i in range(1, atoms + 1)
+    )
+
+
+def test_eval_at_most_64_atoms(capsys):
+    assert main(["eval", "--schema", SCHEMA, "--data", str(BEER), _chain(64)]) == 0
+    assert capsys.readouterr().out == "support\t0\n"
+    assert main(["eval", "--schema", SCHEMA, "--data", str(BEER), _chain(65)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "64 tables" in captured.err
+
+
+def test_mine_rejects_more_than_64_atoms(capsys):
+    assert main([
+        "mine", "--schema", SCHEMA, "--data", str(BEER),
+        "--minsup", "2", "--max-atoms", "65",
+    ]) == 3
+    assert "from 1 to 64" in capsys.readouterr().err

@@ -64,6 +64,17 @@ def test_evaluate_checks_schema(beer_instance):
         evaluate(Q("Q(x) :- drinks(x, y)"), beer_instance)
 
 
+def test_more_than_64_atoms_is_a_query_error(beer_instance):
+    chain = ", ".join(f"likes(x{i}, x{i + 1})" for i in range(1, 66))
+    for evaluator, text in [
+        (evaluate, f"Q(x1) :- {chain}"),
+        (support, f"Q(x1) :- {chain}"),
+        (support_grouped, f"Q(x1) :- {chain}, likes(x1, $c1)"),
+    ]:
+        with pytest.raises(QueryError, match="64 tables"):
+            evaluator(Q(text), beer_instance)
+
+
 # ---------------------------------------------------------------------------
 # grouped evaluation
 # ---------------------------------------------------------------------------
@@ -119,25 +130,11 @@ def test_grouped_rejects_plain_query(beer_instance):
 # ---------------------------------------------------------------------------
 
 
-def random_instance(rng: random.Random, beer_schema, max_rows: int = 12) -> Instance:
-    drinkers = ["d1", "d2", "d3", "d4"]
-    beers = ["b1", "b2", "b3"]
-    bars = ["p1", "p2", "p3"]
-    pools = {"likes": (drinkers, beers), "visits": (drinkers, bars), "serves": (bars, beers)}
-    tables = {}
-    for name, (left, right) in pools.items():
-        n = rng.randint(0, max_rows)
-        tables[name] = frozenset(
-            (rng.choice(left), rng.choice(right)) for _ in range(n)
-        )
-    return Instance(beer_schema, tables)
-
-
 def test_evaluate_matches_naive_enumeration(beer_schema, beer_instance):
     rng = random.Random(88221)
     for trial in range(150):
         q = _oracle.random_query(rng, allow_symbolics=False)
-        inst = beer_instance if trial % 3 == 0 else random_instance(rng, beer_schema)
+        inst = beer_instance if trial % 3 == 0 else _oracle.random_instance(rng, beer_schema)
         assert evaluate(q, inst) == _oracle.eval_naive(q, inst.tables), str(q)
 
 
@@ -162,7 +159,7 @@ def test_equivalent_queries_same_answers(beer_schema, beer_instance):
             tuple(Variable(f"pad{i}") for i in range(len(template.args))),
         )
         q3 = ConjunctiveQuery(q2.head, q2.body | {padded})
-        inst = random_instance(rng, beer_schema)
+        inst = _oracle.random_instance(rng, beer_schema)
         assert evaluate(q1, inst) == evaluate(q2, inst)
         if is_equivalent(q1, q3):
             assert evaluate(q1, inst) == evaluate(q3, inst)

@@ -10,6 +10,7 @@ from cqmine.phase1 import (
     DEFER,
     PRUNE,
     MinerConfig,
+    MinerState,
     admission,
     initial_candidates,
     immediate_generalizations,
@@ -41,6 +42,12 @@ def test_minsup_must_be_positive():
 def test_max_atoms_must_be_positive():
     with pytest.raises(ConfigError):
         MinerConfig(minsup=1, max_atoms=0)
+
+
+def test_max_atoms_fits_one_sqlite_join():
+    assert MinerConfig(minsup=1, max_atoms=64).max_atoms == 64
+    with pytest.raises(ConfigError, match="from 1 to 64"):
+        MinerConfig(minsup=1, max_atoms=65)
 
 
 def test_parse_key_atom(beer_schema):
@@ -109,7 +116,9 @@ def test_initial_candidates_key_atom(beer_schema):
 
 def test_specializations_of_double_likes(beer_schema):
     base = parse_query("Q(x1,x2,x3,x4) :- likes(x1,x2), likes(x3,x4)", beer_schema)
-    results = specializations(base, beer_schema, MinerConfig(minsup=2, max_atoms=2))
+    results = specializations(
+        base, beer_schema, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     got = keys(results)
     # joins: shared first column, shared second column, a chain, a self-loop
     assert key_of("Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)") in got
@@ -126,7 +135,9 @@ def test_specializations_of_double_likes(beer_schema):
 
 def test_specializations_mixed_pair_has_mixed_join(beer_schema):
     base = parse_query("Q(x1,x2,x3,x4) :- likes(x1,x2), visits(x3,x4)", beer_schema)
-    results = specializations(base, beer_schema, MinerConfig(minsup=2, max_atoms=2))
+    results = specializations(
+        base, beer_schema, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     got = keys(results)
     assert key_of("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)") in got
 
@@ -137,7 +148,7 @@ def test_specializations_single_application_results(beer_schema):
         "Q(x,y) :- likes(x,y), visits(x,z), serves(z,u)", beer_schema
     )
     config = MinerConfig(minsup=2, max_atoms=4)
-    got = keys(specializations(base, beer_schema, config))
+    got = keys(specializations(base, beer_schema, config).values())
     # join u into y
     assert (
         key_of("Q(x,y) :- likes(x,y), visits(x,z), serves(z,y)", beer_schema) in got
@@ -160,7 +171,7 @@ def test_specializations_single_application_results(beer_schema):
 def test_specializations_extension_adds_other_relations(beer_schema):
     base = parse_query("Q(x) :- likes(x,y)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2)
-    got = keys(specializations(base, beer_schema, config))
+    got = keys(specializations(base, beer_schema, config).values())
     assert key_of("Q(x) :- likes(x,y), serves(u,v)", beer_schema) in got
     assert key_of("Q(x) :- likes(x,y), visits(u,v)", beer_schema) in got
     # extending with another likes atom is redundant and collapses back
@@ -178,20 +189,21 @@ def test_specializations_never_return_own_class(beer_schema):
     ]:
         base = parse_query(text, beer_schema)
         base_key = canonical_key(base, modulo_head_permutation=True)
-        assert base_key not in keys(specializations(base, beer_schema, config))
+        results = specializations(base, beer_schema, config).values()
+        assert base_key not in keys(results)
 
 
 def test_specializations_respect_atom_cap(beer_schema):
     base = parse_query("Q(x) :- likes(x,y), visits(x,z)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2)
-    for result in specializations(base, beer_schema, config):
+    for result in specializations(base, beer_schema, config).values():
         assert len(result.body) <= 2
 
 
 def test_specializations_without_constants(beer_schema):
     base = parse_query("Q(x) :- likes(x,y)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2, enable_constants=False)
-    for result in specializations(base, beer_schema, config):
+    for result in specializations(base, beer_schema, config).values():
         assert not result.symbolic_constants()
 
 
@@ -199,11 +211,32 @@ def test_specializations_key_atom_keeps_head(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
     base = parse_query("Q(x1,x2) :- likes(x1,x2), serves(x3,x4)", beer_schema)
-    results = specializations(base, beer_schema, config)
+    results = specializations(base, beer_schema, config).values()
     assert results
     for result in results:
         assert result.arity == 2
         assert Atom("likes", result.head) in result.body
+
+
+def test_class_keys_are_state_keys(beer_schema):
+    config = MinerConfig(minsup=2, max_atoms=3)
+    state = MinerState(config=config, schema=beer_schema)
+    checked = 0
+    for text in [
+        "Q(x,y) :- likes(x,y), visits(x,z), serves(z,u)",
+        "Q(x1) :- likes(x1,$c1), visits(x1,x2)",
+        "Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)",
+    ]:
+        query = parse_query(text, beer_schema)
+        for found in (
+            specializations(query, beer_schema, config),
+            immediate_generalizations(query, config),
+        ):
+            assert list(found) == sorted(found)
+            for key, representative in found.items():
+                assert key == state.key(representative)
+                checked += 1
+    assert checked > 20
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +246,14 @@ def test_specializations_key_atom_keeps_head(beer_schema):
 def test_most_general_queries_have_no_generalizations(beer_schema):
     config = MinerConfig(minsup=2, max_atoms=2)
     for query in initial_candidates(beer_schema, config):
-        assert immediate_generalizations(query, config) == []
+        assert list(immediate_generalizations(query, config).values()) == []
 
 
 def test_generalizations_of_shared_drinker_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)", beer_schema)
-    results = immediate_generalizations(query, MinerConfig(minsup=2, max_atoms=2))
+    results = immediate_generalizations(
+        query, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     # splitting the shared drinker un-exports one of them, leaving the class
     # that exports one full row plus the other atom's beer column
     assert keys(results) == {key_of("Q(x1,x2,x4) :- likes(x1,x2), likes(x3,x4)")}
@@ -226,7 +261,9 @@ def test_generalizations_of_shared_drinker_join(beer_schema):
 
 def test_generalizations_of_mixed_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)", beer_schema)
-    results = immediate_generalizations(query, MinerConfig(minsup=2, max_atoms=2))
+    results = immediate_generalizations(
+        query, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     got = keys(results)
     assert key_of("Q(x1,x2,x4) :- likes(x1,x2), visits(x3,x4)") in got
     assert key_of("Q(x1,x2,x3) :- likes(x4,x2), visits(x1,x3)") in got
@@ -235,13 +272,17 @@ def test_generalizations_of_mixed_join(beer_schema):
 
 def test_generalizations_reopen_symbolic_constant(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,$c1)", beer_schema)
-    results = immediate_generalizations(query, MinerConfig(minsup=2, max_atoms=2))
+    results = immediate_generalizations(
+        query, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     assert keys(results) == {key_of("Q(x1) :- likes(x1,x2)")}
 
 
 def test_generalizations_restore_head_variable(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,x2)", beer_schema)
-    results = immediate_generalizations(query, MinerConfig(minsup=2, max_atoms=2))
+    results = immediate_generalizations(
+        query, MinerConfig(minsup=2, max_atoms=2)
+    ).values()
     assert keys(results) == {key_of("Q(x1,x2) :- likes(x1,x2)")}
 
 
@@ -253,7 +294,7 @@ def test_generalizations_are_strict(beer_schema):
         "Q(x1) :- likes(x1,$c1), visits(x1,x2)",
     ]:
         query = parse_query(text, beer_schema)
-        for parent in immediate_generalizations(query, config):
+        for parent in immediate_generalizations(query, config).values():
             assert is_diagonally_contained(query, parent)
             assert not is_diagonally_contained(parent, query)
 
@@ -262,7 +303,7 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
     query = parse_query("Q(x1,x2) :- likes(x1,x2), visits(x1,x3)", beer_schema)
-    results = immediate_generalizations(query, config)
+    results = immediate_generalizations(query, config).values()
     got = keys(results)
     # splitting the shared drinker on the visits side stays anchored
     assert key_of("Q(x1,x2) :- likes(x1,x2), visits(x4,x3)") in got

@@ -65,12 +65,12 @@ def test_schema_unknown_relation(beer_schema):
 
 
 def test_load_instance_beer(beer_instance):
-    assert len(beer_instance.rows("likes")) == 6
-    assert len(beer_instance.rows("visits")) == 6
-    assert len(beer_instance.rows("serves")) == 6
-    assert beer_instance.size() == 18
-    assert ("Allen", "Duvel") in beer_instance.rows("likes")
-    assert ("Old Dutch", "Trappist") in beer_instance.rows("serves")
+    assert len(beer_instance.tables["likes"]) == 6
+    assert len(beer_instance.tables["visits"]) == 6
+    assert len(beer_instance.tables["serves"]) == 6
+    assert sum(len(rows) for rows in beer_instance.tables.values()) == 18
+    assert ("Allen", "Duvel") in beer_instance.tables["likes"]
+    assert ("Old Dutch", "Trappist") in beer_instance.tables["serves"]
 
 
 def test_load_instance_collapses_duplicates(tmp_path: Path):
@@ -78,7 +78,7 @@ def test_load_instance_collapses_duplicates(tmp_path: Path):
     (tmp_path / "r.csv").write_text("1,2\n1,2\n3,4\n")
     schema = load_schema(tmp_path / "schema.txt")
     inst = load_instance(schema, tmp_path)
-    assert inst.rows("r") == frozenset({("1", "2"), ("3", "4")})
+    assert inst.tables["r"] == frozenset({("1", "2"), ("3", "4")})
 
 
 def test_load_instance_and_schema_skip_byte_order_mark(tmp_path: Path):
@@ -89,7 +89,7 @@ def test_load_instance_and_schema_skip_byte_order_mark(tmp_path: Path):
     schema = load_schema(tmp_path / "schema.txt")
     assert schema.names() == ("likes",)
     inst = load_instance(schema, tmp_path)
-    assert inst.rows("likes") == frozenset({("Alice", "Duvel"), ("Alice", "Westmalle")})
+    assert inst.tables["likes"] == frozenset({("Alice", "Duvel"), ("Alice", "Westmalle")})
 
 
 def test_load_instance_missing_file(tmp_path: Path):

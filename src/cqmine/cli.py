@@ -82,7 +82,7 @@ def _parameters(manifest: RunManifest) -> dict:
         "max_atoms": miner.max_atoms,
         "enable_constants": miner.enable_constants,
         "key_atom": _key_atom_pattern(miner),
-        "modulo_head_permutation": miner.modulo_head_permutation,
+        "modulo_head_permutation": miner.key_atom is None,
         "minconf": {
             "numerator": rules.minconf.numerator,
             "denominator": rules.minconf.denominator,
@@ -233,18 +233,18 @@ def _manifest_for_mine(args: argparse.Namespace) -> RunManifest:
     key_atom = None
     if args.key_atom:
         key_atom = parse_key_atom(args.key_atom, load_schema(args.schema))
-    if args.max_atoms > 3:
-        print(
-            f"warning: --max-atoms {args.max_atoms} explores a very large "
-            "candidate space; expect a long run",
-            file=sys.stderr,
-        )
     miner = MinerConfig(
         minsup=args.minsup,
         max_atoms=args.max_atoms,
         enable_constants=not args.no_constants,
         key_atom=key_atom,
     )
+    if miner.max_atoms > 3:
+        print(
+            f"warning: --max-atoms {miner.max_atoms} explores a very large "
+            "candidate space; expect a long run",
+            file=sys.stderr,
+        )
     return RunManifest(
         schema_path=Path(args.schema),
         data_dir=Path(args.data),

@@ -19,7 +19,6 @@ different constants are never merged away.
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from typing import Iterator, Mapping
 
@@ -30,7 +29,6 @@ from .queries import (
     SymbolicConstant,
     Term,
     Variable,
-    canonical_form,
 )
 
 # ---------------------------------------------------------------------------
@@ -130,24 +128,21 @@ def is_diagonally_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     Holds when some homomorphism sends ``q2``'s body into ``q1``'s body such
     that every head variable of ``q1`` is the image of a head variable of
     ``q2``.  Whenever this holds and ``q1`` is frequent, ``q2`` is frequent.
+    The head variables of ``q1`` are distinct, so their preimages are too,
+    and any body homomorphism whose image of ``q2``'s head covers them is a
+    witness.
     """
     if len(q2.head) < len(q1.head):
         return False
-    # cheap necessary condition: without any body homomorphism no choice of
-    # head preimages can work, and that unconstrained search fails fast
-    for _ in _iter_homs(q2.body, q1.body, {}, frozen_symbolics=False):
-        break
-    else:
-        return False
-    for preimages in itertools.permutations(q2.head, len(q1.head)):
-        seed = dict(zip(preimages, q1.head))
-        for _ in _iter_homs(q2.body, q1.body, seed, frozen_symbolics=False):
+    wanted = set(q1.head)
+    for hom in _iter_homs(q2.body, q1.body, {}, frozen_symbolics=False):
+        if wanted.issubset(hom[v] for v in q2.head):
             return True
     return False
 
 
 # ---------------------------------------------------------------------------
-# minimization and canonical keys
+# minimization
 # ---------------------------------------------------------------------------
 
 
@@ -184,19 +179,3 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
         return query
     return ConjunctiveQuery(query.head, body)
 
-
-def canonical_key(
-    query: ConjunctiveQuery, *, modulo_head_permutation: bool = False
-) -> str:
-    """A string equal for two queries exactly when they are equivalent.
-
-    With ``modulo_head_permutation`` the key also absorbs head reordering.
-    """
-    return canonical_form(
-        minimize(query), modulo_head_permutation=modulo_head_permutation
-    )[0]
-
-
-def canonicalize(query: ConjunctiveQuery) -> ConjunctiveQuery:
-    """The minimized query with variables renamed to canonical form."""
-    return canonical_form(minimize(query))[1]

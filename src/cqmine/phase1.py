@@ -9,10 +9,12 @@ the data.  Candidates whose generalizations are merely *not yet* classified
 stay in a pending pool and are reconsidered on later iterations, so admission
 order never loses part of the search space.
 
-Queries are tracked per equivalence class: every generated query is minimized
-and canonically renamed, and indices are keyed by the canonical text (by
-default up to a permutation of the head, so two queries that only disagree on
-answer-column order count as one discovery).
+Queries are tracked per equivalence class: ``class_of`` minimizes every
+generated query and renames it canonically, and indices are keyed by the
+canonical text.  Without a key atom the text is taken up to a permutation of
+the head, so two queries that only disagree on answer-column order count as
+one discovery; with a key atom the head is the anchor's argument list and its
+order is kept.
 """
 
 from __future__ import annotations
@@ -21,12 +23,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 
-from .containment import (
-    canonical_key,
-    canonicalize,
-    is_diagonally_contained,
-    minimize,
-)
+from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
 from .evaluation import GroupedSupport, support, support_grouped
 from .generalization import atom_removals, splits
@@ -82,15 +79,12 @@ class MinerConfig:
         no symbolic-constant queries are generated.
     key_atom: optional atom every explored query must contain, with the
         atom's variables as the fixed head (the "transaction key" language).
-    modulo_head_permutation: treat queries differing only in head order as
-        the same discovery.
     """
 
     minsup: int
     max_atoms: int = 2
     enable_constants: bool = True
     key_atom: Atom | None = None
-    modulo_head_permutation: bool = True
 
     def __post_init__(self) -> None:
         if self.minsup < 1:
@@ -132,11 +126,6 @@ class MinerState:
     frequent_index: dict[str, QueryRecord] = field(default_factory=dict)
     infrequent_index: set[str] = field(default_factory=set)
 
-    def key(self, query: ConjunctiveQuery) -> str:
-        return canonical_key(
-            query, modulo_head_permutation=self.config.modulo_head_permutation
-        )
-
     def candidate_keys(self) -> set[str]:
         seen: set[str] = set()
         for level in self.levels:
@@ -165,7 +154,7 @@ def initial_candidates(schema: Schema, config: MinerConfig) -> list[ConjunctiveQ
     """
     if config.key_atom is not None:
         seed = ConjunctiveQuery(config.key_atom.args, frozenset([config.key_atom]))
-        return [canonicalize(seed)]
+        return [class_of(seed, config)[1]]
     results: dict[str, ConjunctiveQuery] = {}
     names = sorted(schema.names())
     for combo in itertools.combinations_with_replacement(names, config.max_atoms):
@@ -176,13 +165,8 @@ def initial_candidates(schema: Schema, config: MinerConfig) -> list[ConjunctiveQ
             args = tuple(Variable(f"v{next(counter)}") for _ in range(arity))
             atoms.append(Atom(name, args))
         head = tuple(term for atom in atoms for term in atom.args)
-        query = canonicalize(ConjunctiveQuery(head, frozenset(atoms)))
-        results.setdefault(
-            canonical_key(
-                query, modulo_head_permutation=config.modulo_head_permutation
-            ),
-            query,
-        )
+        key, query = class_of(ConjunctiveQuery(head, frozenset(atoms)), config)
+        results.setdefault(key, query)
     return [results[key] for key in sorted(results)]
 
 
@@ -190,13 +174,20 @@ def _used_names(query: ConjunctiveQuery) -> set[str]:
     return {variable.name for variable in query.variables()}
 
 
-def _class_of(
+def class_of(
     query: ConjunctiveQuery, config: MinerConfig
 ) -> tuple[str, ConjunctiveQuery]:
-    """Canonical key plus class representative, in one canonicalization."""
-    reduced = minimize(query)
+    """The key of a query's class and the class representative.
+
+    The query is minimized and then canonically renamed.  Queries with equal
+    keys are equivalent, and equivalent queries without placeholders have
+    equal keys.  Without a key atom the key also absorbs head reordering.
+    With one, every query of the language carries the anchor's variables as
+    its head, so the head order is kept and representatives list the
+    anchor's arguments in order.
+    """
     return canonical_form(
-        reduced, modulo_head_permutation=config.modulo_head_permutation
+        minimize(query), modulo_head_permutation=config.key_atom is None
     )
 
 
@@ -208,15 +199,14 @@ def specializations(
     Four operations generate refinements: extending the body with a new atom
     over fresh variables, joining two variables into one, selecting a
     non-head variable to a symbolic constant, and projecting away a head
-    position.  Results are minimized, canonically renamed and keyed as by
-    ``MinerState.key``; refinements back in the input's own class are dropped.
+    position.  Results are keyed and represented by ``class_of``;
+    refinements back in the input's own class are dropped.
     """
-    base = canonicalize(query)
-    self_key, _ = _class_of(base, config)
+    self_key, base = class_of(query, config)
     results: dict[str, ConjunctiveQuery] = {}
 
     def add(candidate: ConjunctiveQuery) -> None:
-        key, reduced = _class_of(candidate, config)
+        key, reduced = class_of(candidate, config)
         if key == self_key:
             return
         if len(reduced.body) > config.max_atoms:
@@ -299,12 +289,12 @@ def immediate_generalizations(
     from ``cqmine.generalization``, with a body budget that leaves no room
     for duplicated atoms.  A symbolic constant re-opens at all its
     occurrences at once, and inverse projection extends the head by an
-    existing body variable.  Results are minimized, canonically renamed and
-    keyed as by ``MinerState.key``; anything equivalent to (or not actually
-    more general than) the input is dropped, as is anything outside the
-    key-atom language when one is configured.
+    existing body variable.  Results are keyed and represented by
+    ``class_of``; anything equivalent to (or not actually more general than)
+    the input is dropped, as is anything outside the key-atom language when
+    one is configured.
     """
-    base = canonicalize(query)
+    _, base = class_of(query, config)
     results: dict[str, ConjunctiveQuery] = {}
     anchor_relation = (
         config.key_atom.relation if config.key_atom is not None else None
@@ -323,7 +313,7 @@ def immediate_generalizations(
                 return
         if check_strict and is_diagonally_contained(candidate, base):
             return
-        key, reduced = _class_of(candidate, config)
+        key, reduced = class_of(candidate, config)
         results.setdefault(key, reduced)
 
     # The base body is minimized, so what remains after removing an atom
@@ -421,7 +411,7 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
 
     pending: dict[str, ConjunctiveQuery] = {}
     for query in initial_candidates(instance.schema, config):
-        pending[state.key(query)] = query
+        pending[class_of(query, config)[0]] = query
 
     level_number = 0
     while True:

@@ -33,7 +33,7 @@ from .containment import minimize
 from .errors import ConfigError
 from .evaluation import support
 from .generalization import atom_removals, splits
-from .phase1 import MinerState
+from .phase1 import MinerState, class_of
 from .queries import ConjunctiveQuery, canonical_form, instantiate, render_query
 from .relational import Instance
 
@@ -153,7 +153,7 @@ def _support_of(
         return cached
     value: int | None = None
     if not query.constants() and not query.symbolic_constants():
-        record = state.frequent_index.get(state.key(query))
+        record = state.frequent_index.get(class_of(query, state.config)[0])
         if record is not None and record.frequent_constants is None:
             value = record.support
     if value is None:

@@ -444,17 +444,9 @@ def canonical_form(
     return text, renamed
 
 
-def canonical_text(
-    query: ConjunctiveQuery, *, modulo_head_permutation: bool = False
-) -> str:
-    return canonical_form(
-        query, modulo_head_permutation=modulo_head_permutation
-    )[0]
-
-
 def render_query(query: ConjunctiveQuery) -> str:
     """Deterministic display form: canonical text with the head order kept.
 
     A trailing period is emitted; ``parse_query`` round-trips the result.
     """
-    return canonical_text(query) + "."
+    return canonical_form(query)[0] + "."

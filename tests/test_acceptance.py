@@ -27,14 +27,13 @@ import pytest
 import _oracle
 import conftest
 from cqmine.containment import (
-    canonical_key,
     is_contained,
     is_diagonally_contained,
     is_equivalent,
     minimize,
 )
 from cqmine.evaluation import evaluate, support
-from cqmine.phase1 import MinerConfig, initial_candidates, run_phase1
+from cqmine.phase1 import MinerConfig, class_of, initial_candidates, run_phase1
 from cqmine.phase2 import RuleConfig, run_phase2
 from cqmine.queries import (
     Atom,
@@ -66,8 +65,16 @@ def _report(line: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
 
 
+# the mined language has no key atom, so class keys absorb head order
+LANGUAGE = MinerConfig(minsup=2, max_atoms=2)
+
+
+def class_key(query: ConjunctiveQuery) -> str:
+    return class_of(query, LANGUAGE)[0]
+
+
 def key_of(text: str) -> str:
-    return canonical_key(parse_query(text), modulo_head_permutation=True)
+    return class_key(parse_query(text))
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +98,7 @@ def test_01_first_level_cross_products(beer_schema, beer_instance):
             key_of("Q(x1,x2,x3,x4) :- visits(x1,x2), serves(x3,x4)"),
             key_of("Q(x1,x2,x3,x4) :- serves(x1,x2), serves(x3,x4)"),
         }
-        got = {canonical_key(q, modulo_head_permutation=True) for q in queries}
+        got = {class_key(q) for q in queries}
         assert got == expected
         for query in queries:
             assert support(query, beer_instance) == 36
@@ -113,12 +120,7 @@ def test_02_second_level_pruning(state2, beer_schema):
         for query in initial_candidates(beer_schema, config):
             for position in range(query.arity):
                 head = query.head[:position] + query.head[position + 1 :]
-                projections.add(
-                    canonical_key(
-                        ConjunctiveQuery(head, query.body),
-                        modulo_head_permutation=True,
-                    )
-                )
+                projections.add(class_key(ConjunctiveQuery(head, query.body)))
         level2 = state2.levels[1]
         assert len(projections) == 18
         assert set(level2.candidate_keys) == projections
@@ -133,7 +135,7 @@ def test_02_second_level_pruning(state2, beer_schema):
             "Q(x1,x2,x3) :- visits(x1,x2), visits(x1,x3)",
             "Q(x1,x2,x3) :- serves(x1,x2), serves(x1,x3)",
         ]:
-            record = state2.frequent_index[state2.key(parse_query(text))]
+            record = state2.frequent_index[key_of(text)]
             assert record.level == 3, text
             assert record.support == 14, text
         # ... and the chain variants are admitted (evaluated) even though the
@@ -143,13 +145,13 @@ def test_02_second_level_pruning(state2, beer_schema):
             "Q(x1,x2,x3) :- visits(x1,x2), visits(x2,x3)",
             "Q(x1,x2,x3) :- serves(x1,x2), serves(x2,x3)",
         ]:
-            key = state2.key(parse_query(text))
+            key = key_of(text)
             assert key in state2.candidate_keys(), text
             assert key in state2.infrequent_index, text
 
         # a join of a mixed-relation pair is pruned at level 2 (its projected
         # parent is not yet known frequent) but admitted at level 3
-        mixed = state2.key(parse_query("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)"))
+        mixed = key_of("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)")
         assert mixed not in set(level2.candidate_keys)
         record = state2.frequent_index[mixed]
         assert record.level == 3
@@ -172,19 +174,19 @@ def test_03_descent_chain(state2, beer_instance):
         target1 = parse_query("Q(x1,x2) :- likes(x1,x2)")
         assert len(step1.body) == 1
         assert is_equivalent(step1, target1)
-        record1 = state2.frequent_index[state2.key(target1)]
+        record1 = state2.frequent_index[class_key(target1)]
         assert record1.support == 6
 
         step2 = ConjunctiveQuery(step1.head[:1], step1.body)
         target2 = parse_query("Q(x1) :- likes(x1,x2)")
         assert is_equivalent(step2, target2)
-        record2 = state2.frequent_index[state2.key(target2)]
+        record2 = state2.frequent_index[class_key(target2)]
         assert record2.support == 3
         assert support(step2, beer_instance) == 3
 
         # selecting the beer column yields the placeholder query; counting
         # answers per constant shows both beers meet the threshold of 2
-        symbolic = state2.frequent_index[state2.key(parse_query("Q(x1) :- likes(x1,$c1)"))]
+        symbolic = state2.frequent_index[key_of("Q(x1) :- likes(x1,$c1)")]
         grouped = symbolic.frequent_constants
         assert grouped is not None
         items = dict(grouped.sorted_items())
@@ -286,7 +288,7 @@ def oracle_classes(beer_schema, beer_instance):
     tables = dict(beer_instance.tables)
     classes: dict[str, tuple[ConjunctiveQuery, int]] = {}
     for query in _language_queries(beer_schema, beer_instance, max_atoms=2):
-        key = canonical_key(query, modulo_head_permutation=True)
+        key = class_key(query)
         if key not in classes:
             classes[key] = (query, _oracle.support_naive(query, tables))
     return {key: pair for key, pair in classes.items() if pair[1] >= 2}
@@ -306,13 +308,13 @@ def test_05_phase_one_matches_oracle(oracle_classes, state2):
         for record in state2.frequent_records():
             grouped = record.frequent_constants
             if grouped is None:
-                miner[state2.key(record.query)] = record.support
+                miner[class_key(record.query)] = record.support
             else:
                 for values, count in grouped.sorted_items():
                     plugged = instantiate(
                         record.query, dict(zip(grouped.symbols, values))
                     )
-                    miner[canonical_key(plugged, modulo_head_permutation=True)] = count
+                    miner[class_key(plugged)] = count
         oracle = {key: sup for key, (_, sup) in oracle_classes.items()}
         assert miner == oracle
         assert len(oracle) == 1339
@@ -365,8 +367,8 @@ def test_06_phase_two_matches_oracle(
             )
             got = {
                 (
-                    canonical_key(rule.antecedent, modulo_head_permutation=True),
-                    canonical_key(rule.consequent, modulo_head_permutation=True),
+                    class_key(rule.antecedent),
+                    class_key(rule.consequent),
                 )
                 for rule in rules
             }

@@ -121,7 +121,22 @@ def test_mine_stdout_structured_format(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["parameters"]["minsup"] == 2
     assert payload["parameters"]["max_atoms"] == 1
+    assert payload["parameters"]["modulo_head_permutation"] is True
     assert any(e["query"] == "Q(x1, x2) :- likes(x1, x2)." for e in payload["frequent"])
+
+
+def test_key_atom_run_keeps_head_order(capsys):
+    rc = main([
+        "mine", "--schema", SCHEMA, "--data", str(BEER), "--minsup", "2",
+        "--max-atoms", "3", "--key-atom", "serves(_, _)", "--format", "structured",
+    ])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["parameters"]["modulo_head_permutation"] is False
+    # every reported query lists the bar, then the beer, as in the anchor
+    queries = [e["query"] for e in payload["frequent"]]
+    assert "Q(x1, x2) :- likes(x3, x2), serves(x1, x2)." in queries
+    assert all("serves(x1, x2)" in query for query in queries)
 
 
 def test_mine_high_minsup_yields_empty_reports(tmp_path, capsys):
@@ -267,6 +282,24 @@ def test_contain_classifications(capsys):
         assert capsys.readouterr().out.strip() == expected
 
 
+def test_contain_wide_heads_finish():
+    # neither query maps into the other with a covering head: the visits atom
+    # has no image, and z has no preimage among the six likes atoms' images.
+    # The answer must not cost one search per alignment of the 12-wide heads.
+    wide = "Q(y1,y2,y3,y4,y5,y6,y7,y8,y9,y10,y11,y12) :- " + ", ".join(
+        f"likes(y{i}, y{i + 1})" for i in range(1, 12, 2)
+    )
+    anchored = "Q(x1,x2,x3,x4,x5,x6,x7,x8,x9,x10,x11,z) :- " + ", ".join(
+        [*(f"likes(x{i}, x{i + 1})" for i in range(1, 12, 2)), "visits(z, x1)"]
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "cqmine", "contain", anchored, wide],
+        capture_output=True, text=True, timeout=30,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "incomparable"
+
+
 def test_sql_subcommand_prints_select(capsys):
     rc = main(["sql", "--schema", SCHEMA, "Q(x1) :- likes(x1, $c1)."])
     assert rc == 0
@@ -356,4 +389,6 @@ def test_mine_rejects_more_than_64_atoms(capsys):
         "mine", "--schema", SCHEMA, "--data", str(BEER),
         "--minsup", "2", "--max-atoms", "65",
     ]) == 3
-    assert "from 1 to 64" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "from 1 to 64" in err
+    assert "warning" not in err

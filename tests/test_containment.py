@@ -3,19 +3,45 @@ from __future__ import annotations
 import random
 
 from cqmine.containment import (
-    canonical_key,
-    canonicalize,
     find_containment_mapping,
     is_contained,
     is_diagonally_contained,
     is_equivalent,
     minimize,
 )
-from cqmine.queries import Variable, parse_query
+from cqmine.phase1 import MinerConfig, class_of
+from cqmine.queries import (
+    Atom,
+    Constant,
+    ConjunctiveQuery,
+    Variable,
+    parse_query,
+    render_term,
+    substitute_terms,
+)
 
 import _oracle
 
 Q = parse_query
+
+# ``class_of`` absorbs head order without a key atom and keeps it with one;
+# it does not require the query to contain the anchor.
+UNORDERED = MinerConfig(minsup=1)
+ORDERED = MinerConfig(
+    minsup=1, key_atom=Atom("likes", (Variable("k1"), Variable("k2")))
+)
+
+
+def key(query, config=UNORDERED):
+    return class_of(query, config)[0]
+
+
+def same_up_to_head_order(q1, q2):
+    return (
+        q1.arity == q2.arity
+        and is_diagonally_contained(q1, q2)
+        and is_diagonally_contained(q2, q1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -84,8 +110,6 @@ def test_find_containment_mapping_witness():
     assert mapping is not None
     assert mapping[Variable("u")] == Variable("x")
     # The witness really is a homomorphism onto q1's body.
-    from cqmine.queries import substitute_terms
-
     assert substitute_terms(q2.body, mapping) <= q1.body
 
 
@@ -161,39 +185,51 @@ def test_minimize_equivalent_to_input():
 
 
 # ---------------------------------------------------------------------------
-# canonical keys
+# class keys
 # ---------------------------------------------------------------------------
 
 
 def test_canonical_key_identifies_equivalent_queries():
     a = Q("Q(x) :- likes(x, y)")
     b = Q("Q(u) :- likes(u, v), likes(u, w)")
-    assert canonical_key(a) == canonical_key(b)
+    for config in (UNORDERED, ORDERED):
+        assert key(a, config) == key(b, config)
 
 
 def test_canonical_key_modulo_head_permutation():
     a = Q("Q(x, y) :- likes(x, y)")
     b = Q("Q(y, x) :- likes(x, y)")
-    assert canonical_key(a) != canonical_key(b)
-    assert canonical_key(a, modulo_head_permutation=True) == canonical_key(
-        b, modulo_head_permutation=True
-    )
+    assert key(a, ORDERED) != key(b, ORDERED)
+    assert key(a) == key(b)
 
 
 def test_canonical_key_separates_placeholder_counts():
     one = Q("Q(x) :- likes(x, $c1)")
     two = Q("Q(x) :- likes(x, $c1), likes(x, $c2)")
-    assert canonical_key(one) != canonical_key(two)
+    for config in (UNORDERED, ORDERED):
+        assert key(one, config) != key(two, config)
 
 
 def test_canonicalize_round_trip():
     rng = random.Random(902)
     for _ in range(100):
         q = _oracle.random_query(rng, max_atoms=4)
-        c = canonicalize(q)
-        assert is_equivalent(c, q)
-        assert canonical_key(c) == canonical_key(q)
-        assert canonicalize(c) == c
+        for config in (UNORDERED, ORDERED):
+            k, c = class_of(q, config)
+            assert key(c, config) == k
+            assert class_of(c, config)[1] == c
+        assert is_equivalent(class_of(q, ORDERED)[1], q)
+        assert same_up_to_head_order(class_of(q, UNORDERED)[1], q)
+
+
+def test_class_of_keeps_head_order_with_key_atom():
+    # the head lists the anchor's arguments in reverse; a representative
+    # that reordered it would leave the key-atom language
+    q = Q("Q(b, a) :- likes(a, b), serves(c, b)")
+    _, ordered = class_of(q, ORDERED)
+    assert Atom("likes", (ordered.head[1], ordered.head[0])) in ordered.body
+    _, unordered = class_of(q, UNORDERED)
+    assert Atom("likes", unordered.head) in unordered.body
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +257,49 @@ def test_diagonal_matches_oracle_on_random_pairs():
         )
 
 
+def _specialize_and_reorder(rng, query):
+    """A query diagonally contained in ``query`` by construction.
+
+    Joins variables and binds some to constants, may add an atom over the
+    result's terms, then keeps a shuffled subset of the head's images.
+    """
+    variables = sorted(query.variables(), key=lambda v: v.name)
+    mapping = {}
+    for variable in variables:
+        roll = rng.random()
+        if roll < 0.2:
+            mapping[variable] = rng.choice(variables)
+        elif roll < 0.3:
+            mapping[variable] = Constant(rng.choice(_oracle.CONSTANT_POOL))
+    body = substitute_terms(query.body, mapping)
+    terms = sorted({t for atom in body for t in atom.args}, key=render_term)
+    if rng.random() < 0.5:
+        relation, arity = rng.choice(_oracle.RELATIONS)
+        body |= {Atom(relation, tuple(rng.choice(terms) for _ in range(arity)))}
+    images = {mapping.get(v, v) for v in query.head}
+    heads = sorted((t for t in images if isinstance(t, Variable)), key=render_term)
+    if not heads:
+        return None
+    head = rng.sample(heads, rng.randint(1, len(heads)))
+    return ConjunctiveQuery(tuple(head), body)
+
+
+def test_diagonal_matches_oracle_on_constructed_pairs():
+    rng = random.Random(133005)
+    built = 0
+    while built < 150:
+        q2 = _oracle.random_query(rng)
+        q1 = _specialize_and_reorder(rng, q2)
+        if q1 is None:
+            continue
+        built += 1
+        assert is_diagonally_contained(q1, q2), f"{q1} vs {q2}"
+        assert _oracle.diagonal_contained(q1, q2), f"{q1} vs {q2}"
+        assert is_diagonally_contained(q2, q1) == _oracle.diagonal_contained(q2, q1), (
+            f"{q2} vs {q1}"
+        )
+
+
 def test_canonical_key_equality_matches_equivalence_without_placeholders():
     rng = random.Random(133003)
     pairs = 0
@@ -230,7 +309,8 @@ def test_canonical_key_equality_matches_equivalence_without_placeholders():
         if q1.arity != q2.arity:
             continue
         pairs += 1
-        assert (canonical_key(q1) == canonical_key(q2)) == is_equivalent(q1, q2)
+        assert (key(q1, ORDERED) == key(q2, ORDERED)) == is_equivalent(q1, q2)
+        assert (key(q1) == key(q2)) == same_up_to_head_order(q1, q2)
     assert pairs > 100
 
 
@@ -239,5 +319,7 @@ def test_canonical_key_equality_implies_equivalence_with_placeholders():
     for _ in range(200):
         q1 = _oracle.random_query(rng)
         q2 = _oracle.random_query(rng)
-        if canonical_key(q1) == canonical_key(q2):
+        if key(q1, ORDERED) == key(q2, ORDERED):
             assert is_equivalent(q1, q2)
+        if key(q1) == key(q2):
+            assert same_up_to_head_order(q1, q2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cqmine.containment import canonical_key, is_diagonally_contained, is_equivalent
+from cqmine.containment import is_diagonally_contained, is_equivalent
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support
 from cqmine.phase1 import (
@@ -10,8 +10,8 @@ from cqmine.phase1 import (
     DEFER,
     PRUNE,
     MinerConfig,
-    MinerState,
     admission,
+    class_of,
     initial_candidates,
     immediate_generalizations,
     parse_key_atom,
@@ -22,12 +22,19 @@ from cqmine.queries import Atom, parse_query, render_query
 from cqmine.relational import RelationDecl, Schema
 
 
+UNORDERED = MinerConfig(minsup=1)
+
+
 def key_of(text, schema=None):
-    return canonical_key(parse_query(text, schema), modulo_head_permutation=True)
+    return class_of(parse_query(text, schema), UNORDERED)[0]
 
 
 def keys(queries):
-    return {canonical_key(q, modulo_head_permutation=True) for q in queries}
+    return {class_of(q, UNORDERED)[0] for q in queries}
+
+
+def state_key(state, query):
+    return class_of(query, state.config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,7 @@ def test_specializations_never_return_own_class(beer_schema):
         "Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)",
     ]:
         base = parse_query(text, beer_schema)
-        base_key = canonical_key(base, modulo_head_permutation=True)
+        base_key = class_of(base, config)[0]
         results = specializations(base, beer_schema, config).values()
         assert base_key not in keys(results)
 
@@ -220,7 +227,6 @@ def test_specializations_key_atom_keeps_head(beer_schema):
 
 def test_class_keys_are_state_keys(beer_schema):
     config = MinerConfig(minsup=2, max_atoms=3)
-    state = MinerState(config=config, schema=beer_schema)
     checked = 0
     for text in [
         "Q(x,y) :- likes(x,y), visits(x,z), serves(z,u)",
@@ -234,7 +240,7 @@ def test_class_keys_are_state_keys(beer_schema):
         ):
             assert list(found) == sorted(found)
             for key, representative in found.items():
-                assert key == state.key(representative)
+                assert key == class_of(representative, config)[0]
                 checked += 1
     assert checked > 20
 
@@ -318,13 +324,13 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
 
 
 def verdict_for(query, state):
-    return admission(state.key(query), query, state, {})
+    return admission(state_key(state, query), query, state, {})
 
 
 def test_prune_drops_already_seen_classes(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
     renamed = parse_query("Q(a,b,c) :- likes(a,b), likes(a,c)")
-    key = state.key(renamed)
+    key = state_key(state, renamed)
     assert key in state.frequent_index
     assert verdict_for(renamed, state) == PRUNE
     # dropping a settled class from the pool leaves its classification alone
@@ -347,8 +353,8 @@ def test_prune_blocks_class_with_unknown_parent(beer_instance):
     # this class generalizes (among others) to the chain join, which the run
     # evaluated and found infrequent, so the class itself was never admitted
     candidate = parse_query("Q(x1,x2) :- likes(x1,x2), likes(x2,x3)")
-    chain = state.key(parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x2,x3)"))
-    key = state.key(candidate)
+    chain = state_key(state, parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x2,x3)"))
+    key = state_key(state, candidate)
     assert key in state.infrequent_index and chain in state.infrequent_index
     state.infrequent_index.discard(key)
     assert verdict_for(candidate, state) == PRUNE
@@ -369,7 +375,7 @@ def beer_run(beer_instance):
 
 
 def record_for(state, text):
-    return state.frequent_index.get(state.key(parse_query(text)))
+    return state.frequent_index.get(state_key(state, parse_query(text)))
 
 
 def test_run_level_one_is_all_cross_products(beer_run):
@@ -387,7 +393,7 @@ def test_run_level_two_is_single_projections(beer_run, beer_schema):
         for position in range(query.arity):
             head = query.head[:position] + query.head[position + 1 :]
             projected = type(query)(head, query.body)
-            expected.add(canonical_key(projected, modulo_head_permutation=True))
+            expected.add(class_of(projected, config)[0])
     second = beer_run.levels[1]
     assert len(expected) == 18
     assert set(second.candidate_keys) == expected
@@ -419,7 +425,7 @@ def test_run_chain_joins_are_infrequent(beer_run):
         "Q(x1,x2,x3) :- visits(x1,x2), visits(x2,x3)",
         "Q(x1,x2,x3) :- serves(x1,x2), serves(x2,x3)",
     ]:
-        key = beer_run.key(parse_query(text))
+        key = state_key(beer_run, parse_query(text))
         assert key not in beer_run.frequent_index
         assert key in beer_run.infrequent_index
 
@@ -483,29 +489,59 @@ def test_run_single_atom_language(beer_instance):
     }
 
 
-def test_run_key_atom_language(beer_instance, beer_schema):
-    atom = parse_key_atom("likes(_, _)", beer_schema)
+# per anchor: two joined patterns that keep all six anchor rows, and one
+# placeholder pattern with its frequent assignments
+KEY_ATOM_EXPECTED = {
+    "likes": (
+        [
+            "Q(x1, x2) :- likes(x1, x2), serves(x3, x2).",
+            "Q(x1, x2) :- likes(x1, x2), visits(x1, x3).",
+        ],
+        "Q(x1,x2) :- likes(x1,x2), visits(x1,$c1)",
+        [(("Cheers",), 6), (("California",), 3)],
+    ),
+    "visits": (
+        [
+            "Q(x1, x2) :- likes(x1, x3), visits(x1, x2).",
+            "Q(x1, x2) :- serves(x2, x3), visits(x1, x2).",
+        ],
+        "Q(x1,x2) :- likes(x1,$c1), visits(x1,x2)",
+        [(("Duvel",), 6), (("Trappist",), 3)],
+    ),
+    "serves": (
+        [
+            "Q(x1, x2) :- likes(x3, x2), serves(x1, x2).",
+            "Q(x1, x2) :- serves(x1, x2), visits(x3, x1).",
+        ],
+        "Q(x1,x2) :- serves(x1,x2), visits($c1,x1)",
+        [(("Carol",), 6), (("Allen",), 5), (("Bill",), 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("anchor", sorted(KEY_ATOM_EXPECTED))
+def test_run_key_atom_language(beer_instance, beer_schema, anchor):
+    atom = parse_key_atom(f"{anchor}(_, _)", beer_schema)
     state = run_phase1(
-        beer_instance, MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
+        beer_instance, MinerConfig(minsup=2, max_atoms=3, key_atom=atom)
     )
+    # every representative lists the anchor's arguments as its head, in order
     for record in state.frequent_records():
         assert record.query.arity == 2
-        assert Atom("likes", record.query.head) in record.query.body
+        assert Atom(anchor, record.query.head) in record.query.body
     table = {
         render_query(record.query): record.support
         for record in state.frequent_records()
     }
-    # the key atom's own rows are the transactions; every frequent pattern
-    # here keeps all six because the attached conditions hold for every row
-    assert table["Q(x1, x2) :- likes(x1, x2)."] == 6
-    assert table["Q(x1, x2) :- likes(x1, x2), serves(x3, x2)."] == 6
-    assert table["Q(x1, x2) :- likes(x1, x2), visits(x1, x3)."] == 6
-    visiting = record_for(state, "Q(x1,x2) :- likes(x1,x2), visits(x1,$c1)")
-    assert visiting is not None
-    assert visiting.frequent_constants.sorted_items() == [
-        (("Cheers",), 6),
-        (("California",), 3),
-    ]
+    # the key atom's own rows are the transactions; these patterns keep all
+    # six because the attached conditions hold for every row
+    joined, placeholder, assignments = KEY_ATOM_EXPECTED[anchor]
+    assert table[f"Q(x1, x2) :- {anchor}(x1, x2)."] == 6
+    for text in joined:
+        assert table[text] == 6, text
+    record = record_for(state, placeholder)
+    assert record is not None
+    assert record.frequent_constants.sorted_items() == assignments
 
 
 def test_run_is_deterministic_and_jobs_invariant(beer_instance):
@@ -543,5 +579,5 @@ def test_run_supports_match_direct_evaluation(beer_run, beer_instance):
 
 def test_run_records_are_minimized_representatives(beer_run):
     for record in beer_run.frequent_records():
-        assert beer_run.key(record.query) in beer_run.frequent_index
+        assert state_key(beer_run, record.query) in beer_run.frequent_index
         assert render_query(record.query).startswith("Q(")

@@ -1,5 +1,37 @@
-"""Entry point for ``python -m cqmine``."""
+"""Process entry of ``python -m cqmine`` and the ``cqmine`` console script."""
+
+from __future__ import annotations
+
+import gc
+import os
+import sys
 
 from .cli import main
 
-raise SystemExit(main())
+# 128 + SIGPIPE, what a shell reports for a writer whose reader went away
+EXIT_BROKEN_PIPE = 141
+
+
+def entry() -> int:
+    """Run the command line, then leave the process quickly and quietly.
+
+    A reader that closes the pipe early (``cqmine mine ... | head``) ends
+    the run with ``EXIT_BROKEN_PIPE`` and no traceback.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout is gone; point it at devnull so the interpreter's last flush
+        # at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    # the run's caches are still alive and hold no garbage; keep the
+    # collector passes made while the interpreter finalizes from scanning them
+    gc.freeze()
+    return code
+
+
+if __name__ == "__main__":
+    raise SystemExit(entry())

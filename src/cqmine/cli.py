@@ -11,7 +11,8 @@ Subcommands:
 
 All output is deterministic: repeated runs over identical inputs produce
 identical bytes.  Exit codes: 0 success, 2 command-line usage error,
-3 input or configuration error.
+3 input or configuration error; the process entry (``cqmine.__main__``)
+adds 141 when the reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
@@ -285,7 +286,3 @@ def main(argv: list[str] | None = None) -> int:
     except CqmineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

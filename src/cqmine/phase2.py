@@ -21,6 +21,13 @@ minimized equivalence class.
 Support never shrinks under generalization, so confidence never grows along
 the walk; a branch whose confidence already fell below the threshold can be
 abandoned without losing any confident rule.
+
+Consequents share most of the forms their walks pass through.  One step
+table per ``run_phase2`` call maps a form's canonical raw text to its
+generalization steps, each already canonicalized and minimized, so a form
+is expanded once per run however many walks reach it.  What stays per
+consequent is what depends on it: the visited forms, the reported classes
+and the confidence cut-off.
 """
 
 from __future__ import annotations
@@ -162,6 +169,32 @@ def _support_of(
     return value
 
 
+_Step = tuple[str, ConjunctiveQuery, str, ConjunctiveQuery]
+
+
+def _steps_of(
+    form_text: str,
+    form: ConjunctiveQuery,
+    table: dict[str, list[_Step]],
+    max_atoms: int,
+) -> list[_Step]:
+    """The walk steps from ``form``, generated once per run and then shared.
+
+    Each step is ``(raw_text, raw_form, antecedent_text, antecedent)``: the
+    generalized body, canonically renamed but not minimized, and its
+    minimized class, in generation order (atom removals, then splits).
+    ``form`` is a canonical rendering, so ``form_text`` determines it.
+    """
+    steps = table.get(form_text)
+    if steps is None:
+        steps = []
+        for raw in itertools.chain(atom_removals(form), splits(form, max_atoms)):
+            raw_text, raw_form = canonical_form(raw)
+            steps.append((raw_text, raw_form, *canonical_form(minimize(raw_form))))
+        table[form_text] = steps
+    return steps
+
+
 def _rules_for_consequent(
     consequent: ConjunctiveQuery,
     consequent_support: int,
@@ -169,6 +202,7 @@ def _rules_for_consequent(
     instance: Instance,
     config: RuleConfig,
     memo: dict[str, int],
+    table: dict[str, list[_Step]],
 ) -> list[AssociationRule]:
     base_text, base = canonical_form(consequent)
     class_text = canonical_form(minimize(base))[0]
@@ -178,17 +212,16 @@ def _rules_for_consequent(
         rules.append(AssociationRule(base, base, consequent_support, Fraction(1)))
     visited = {base_text}
     emitted = {class_text}
-    frontier = [base]
+    frontier = [(base_text, base)]
     while frontier:
-        next_frontier: list[ConjunctiveQuery] = []
-        for form in frontier:
-            steps = itertools.chain(atom_removals(form), splits(form, max_atoms))
-            for raw in steps:
-                raw_text, raw_form = canonical_form(raw)
+        next_frontier: list[tuple[str, ConjunctiveQuery]] = []
+        for form_text, form in frontier:
+            for raw_text, raw_form, antecedent_text, antecedent in _steps_of(
+                form_text, form, table, max_atoms
+            ):
                 if raw_text in visited:
                     continue
                 visited.add(raw_text)
-                antecedent_text, antecedent = canonical_form(minimize(raw_form))
                 antecedent_support = _support_of(
                     antecedent, antecedent_text, state, instance, memo
                 )
@@ -200,7 +233,7 @@ def _rules_for_consequent(
                     rules.append(
                         AssociationRule(antecedent, base, consequent_support, confidence)
                     )
-                next_frontier.append(raw_form)
+                next_frontier.append((raw_text, raw_form))
         frontier = next_frontier
     return rules
 
@@ -214,15 +247,17 @@ def run_phase2(
 
     Each frequent query (with placeholders instantiated) is taken in turn as
     a consequent, and its antecedents are explored from most to least
-    confident, sharing one antecedent-support memo.  The result is sorted by
-    descending confidence, then antecedent and consequent text.
+    confident, sharing one antecedent-support memo and one step table.  The
+    result is sorted by descending confidence, then antecedent and consequent
+    text.
     """
     memo: dict[str, int] = {}
+    table: dict[str, list[_Step]] = {}
     rules = [
         rule
         for consequent, consequent_support in _consequent_queries(state)
         for rule in _rules_for_consequent(
-            consequent, consequent_support, state, instance, config, memo
+            consequent, consequent_support, state, instance, config, memo, table
         )
     ]
     rules.sort(

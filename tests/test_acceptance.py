@@ -376,6 +376,26 @@ def test_06_phase_two_matches_oracle(
             assert len(expected) == size, f"minconf={minconf}"
 
 
+def test_phase_two_matches_oracle_between_half_and_one(
+    oracle_classes, oracle_rule_pairs, state2, beer_instance
+):
+    # criterion 6 covers minconf 1 and 1/2; at 2/3 the cut-off falls between
+    # confidences the sweep holds, with some rules exactly on it
+    minconf = Fraction(2, 3)
+    assert any(confidence == minconf for _, _, confidence in oracle_rule_pairs)
+    expected = {(key, key) for key in oracle_classes} | {
+        (ante, cons)
+        for ante, cons, confidence in oracle_rule_pairs
+        if confidence >= minconf
+    }
+    rules = run_phase2(
+        state2, beer_instance, RuleConfig(minconf, include_trivial=True)
+    )
+    got = {(class_key(rule.antecedent), class_key(rule.consequent)) for rule in rules}
+    assert got == expected
+    assert 4814 < len(expected) < 6968
+
+
 # ---------------------------------------------------------------------------
 # criteria 7 and 8: randomized engine properties
 

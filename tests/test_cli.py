@@ -198,6 +198,25 @@ def test_missing_data_file_exit_3_names_relation(tmp_path, capsys):
     assert "visits" in capsys.readouterr().err
 
 
+def test_closed_pipe_exits_141_without_traceback():
+    # the reader takes one line and goes away, like ``cqmine mine ... | head -1``;
+    # the report is far larger than a pipe's buffer, so the writer sees it
+    process = subprocess.Popen(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", SCHEMA,
+            "--data", str(BEER), "--minsup", "2",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert process.stdout.readline().startswith("# frequent queries: ")
+    process.stdout.close()
+    _, stderr = process.communicate(timeout=60)
+    assert process.returncode == 141
+    assert stderr == ""
+
+
 def test_usage_error_exit_2():
     result = run_cli("mine", "--schema", SCHEMA, "--data", str(BEER))
     assert result.returncode == 2

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import cqmine.phase2
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support
@@ -301,6 +302,24 @@ def test_runs_are_deterministic_and_jobs_invariant(
 ):
     again = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1)))
     assert again == rules_exact
+
+
+def test_each_form_is_expanded_once_per_run(
+    maxtwo_state, beer_instance, rules_half, monkeypatch
+):
+    # consequents share most of their generalizations, so the walk generates
+    # a form's steps once per run and every later consequent reads them
+    expanded = []
+
+    def recording_atom_removals(form):
+        expanded.append(canonical_form(form)[0])
+        return atom_removals(form)
+
+    monkeypatch.setattr(cqmine.phase2, "atom_removals", recording_atom_removals)
+    rules = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1, 2)))
+    assert rules == rules_half
+    assert expanded
+    assert len(expanded) == len(set(expanded))
 
 
 def test_no_rules_without_frequent_queries(beer_instance):

@@ -92,6 +92,30 @@ def test_load_instance_and_schema_skip_byte_order_mark(tmp_path: Path):
     assert inst.tables["likes"] == frozenset({("Alice", "Duvel"), ("Alice", "Westmalle")})
 
 
+def load_r(tmp_path: Path, data: bytes) -> frozenset[tuple[str, ...]]:
+    (tmp_path / "schema.txt").write_text("r(a, b)\n")
+    (tmp_path / "r.csv").write_bytes(data)
+    return load_instance(load_schema(tmp_path / "schema.txt"), tmp_path).tables["r"]
+
+
+def test_load_instance_keeps_blank_fields(tmp_path: Path):
+    # an empty field is the empty string, a value like any other; only a
+    # wholly empty line is skipped
+    rows = load_r(tmp_path, b"a,\n,b\n\n,\n")
+    assert rows == frozenset({("a", ""), ("", "b"), ("", "")})
+
+
+def test_load_instance_quoted_commas(tmp_path: Path):
+    rows = load_r(tmp_path, b'"Smith, J.",Duvel\n"say ""hi""",x\n')
+    assert rows == frozenset({("Smith, J.", "Duvel"), ('say "hi"', "x")})
+
+
+def test_load_instance_crlf_line_endings(tmp_path: Path):
+    # CRLF and LF rows mix freely; a line break inside quotes is kept as is
+    rows = load_r(tmp_path, b'a,b\r\nc,d\n\r\n"x\r\ny",z\r\n')
+    assert rows == frozenset({("a", "b"), ("c", "d"), ("x\r\ny", "z")})
+
+
 def test_load_instance_missing_file(tmp_path: Path):
     (tmp_path / "schema.txt").write_text("r(a)\n")
     schema = load_schema(tmp_path / "schema.txt")

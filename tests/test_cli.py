@@ -1,12 +1,15 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import cqmine
 from cqmine.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -85,6 +88,44 @@ def test_text_reports_rederivable_from_structured_dump(mine_out):
         )
     rebuilt = "".join(line + "\n" for line in rule_lines)
     assert rebuilt == (mine_out / "rules.txt").read_text(encoding="utf-8")
+
+
+# sha256 of frequent.txt, rules.txt and run.json; run.json records the
+# schema and data paths, so the runs use the relative paths below from inside
+# the fixture directory
+PINNED_REPORTS = {
+    (): (
+        "c07dcdf6dc9c54fb38b83a079df49e19a1678db0e83353a6246f120301f6f2eb",
+        "9fa994edab662318579aca38bc4c2ed61d62c892a83a77a0169d0682317a84a9",
+        "1c94bdb72603c9215f22bfc1f59bf2b83f6e4883c53f88bd5b7efa5bdb5d7f55",
+    ),
+    ("--key-atom", "likes(_,_)"): (
+        "6bc6a4e43a09ed2d350e79052c96551617e6485eb7274be1fb6dee25288cdc06",
+        "444cff491f675043896fc1d61f02ced3884d5beb5a6af9e2ea46139dcde22f7d",
+        "1fe333b829170a2a5f790ff257a4542980516a92da9516f7cae81f5b83b4bbbe",
+    ),
+}
+
+
+@pytest.mark.parametrize("extra", list(PINNED_REPORTS), ids=["constants", "key-atom"])
+def test_report_bytes_are_pinned(extra, tmp_path):
+    out = tmp_path / "run"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "schema.txt",
+            "--data", ".", "--max-atoms", "2", "--minsup", "2",
+            "--minconf", "0.5", *extra, "--out-dir", str(out),
+        ],
+        capture_output=True,
+        cwd=BEER,
+        env={**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("frequent.txt", "rules.txt", "run.json")
+    )
+    assert digests == PINNED_REPORTS[extra]
 
 
 def test_structured_stdout_equals_run_json(mine_out):

@@ -103,17 +103,22 @@ def cmd_mine(manifest: RunManifest) -> int:
     state = run_phase1(instance, manifest.miner)
     rules = run_phase2(state, instance, manifest.rules)
 
-    frequent_lines = frequent_report_lines(state)
-    rule_lines = rule_report_lines(rules)
     payload = run_dump(state, rules, _parameters(manifest))
+    frequent_lines = frequent_report_lines(payload)
+    rule_lines = rule_report_lines(payload)
 
-    if manifest.out_dir is not None:
-        manifest.out_dir.mkdir(parents=True, exist_ok=True)
-        for name, lines in (("frequent.txt", frequent_lines), ("rules.txt", rule_lines)):
-            with open(manifest.out_dir / name, "w", encoding="utf-8") as handle:
-                handle.writelines(line + "\n" for line in lines)
-        with open(manifest.out_dir / "run.json", "w", encoding="utf-8") as handle:
-            dump_json(payload, handle)
+    out_dir = manifest.out_dir
+    if out_dir is not None:
+        reports = {"frequent.txt": frequent_lines, "rules.txt": rule_lines}
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for name, lines in reports.items():
+                with open(out_dir / name, "w", encoding="utf-8") as handle:
+                    handle.writelines(line + "\n" for line in lines)
+            with open(out_dir / "run.json", "w", encoding="utf-8") as handle:
+                dump_json(payload, handle)
+        except OSError as exc:
+            raise ConfigError(f"cannot write reports to {out_dir}: {exc}") from exc
         return 0
     if manifest.format == "structured":
         dump_json(payload, sys.stdout)

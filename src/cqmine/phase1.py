@@ -126,12 +126,6 @@ class MinerState:
     frequent_index: dict[str, QueryRecord] = field(default_factory=dict)
     infrequent_index: set[str] = field(default_factory=set)
 
-    def candidate_keys(self) -> set[str]:
-        seen: set[str] = set()
-        for level in self.levels:
-            seen.update(level.candidate_keys)
-        return seen
-
     def frequent_records(self) -> list[QueryRecord]:
         return [
             self.frequent_index[key]

@@ -41,7 +41,7 @@ from .errors import ConfigError
 from .evaluation import support
 from .generalization import atom_removals, splits
 from .phase1 import MinerState, class_of
-from .queries import ConjunctiveQuery, canonical_form, instantiate, render_query
+from .queries import ConjunctiveQuery, canonical_form, instantiate
 from .relational import Instance
 
 __all__ = [
@@ -87,12 +87,12 @@ class RuleConfig:
 class AssociationRule:
     """``antecedent => consequent`` over queries with identical heads.
 
-    ``support`` is the consequent's support; ``confidence`` is the exact
-    ratio of consequent support to antecedent support.
+    Both sides are ``render_query`` texts.  ``support`` is the consequent's
+    support; ``confidence`` is the exact ratio of the two sides' supports.
     """
 
-    antecedent: ConjunctiveQuery
-    consequent: ConjunctiveQuery
+    antecedent: str
+    consequent: str
     support: int
     confidence: Fraction
 
@@ -110,7 +110,7 @@ class AssociationRule:
 # ---------------------------------------------------------------------------
 
 
-def _consequent_queries(state: MinerState) -> list[tuple[ConjunctiveQuery, int]]:
+def _consequent_queries(state: MinerState) -> dict[str, tuple[ConjunctiveQuery, int]]:
     """All frequent queries eligible as rule consequents, with supports.
 
     Placeholder-bearing discoveries contribute one consequent per frequent
@@ -118,26 +118,20 @@ def _consequent_queries(state: MinerState) -> list[tuple[ConjunctiveQuery, int]]
     constant for the containment between them to hold, so placeholders are
     pinned down before rules are formed.  Instantiation can make an atom
     redundant, hence the minimization; duplicates arising from distinct
-    discoveries are dropped (their supports necessarily agree).
+    discoveries are dropped (their supports necessarily agree).  The keys are
+    canonical texts of minimized queries, so each is also its class's text.
     """
-    consequents: list[tuple[ConjunctiveQuery, int]] = []
-    seen: set[str] = set()
+    consequents: dict[str, tuple[ConjunctiveQuery, int]] = {}
     for record in state.frequent_records():
-        if record.frequent_constants is None:
+        grouped = record.frequent_constants
+        if grouped is None:
             text, representative = canonical_form(record.query)
-            if text not in seen:
-                seen.add(text)
-                consequents.append((representative, record.support))
-        else:
-            grouped = record.frequent_constants
-            for assignment, count in grouped.sorted_items():
-                mapping = dict(zip(grouped.symbols, assignment))
-                text, representative = canonical_form(
-                    minimize(instantiate(record.query, mapping))
-                )
-                if text not in seen:
-                    seen.add(text)
-                    consequents.append((representative, count))
+            consequents.setdefault(text, (representative, record.support))
+            continue
+        for assignment, count in grouped.sorted_items():
+            query = instantiate(record.query, dict(zip(grouped.symbols, assignment)))
+            text, representative = canonical_form(minimize(query))
+            consequents.setdefault(text, (representative, count))
     return consequents
 
 
@@ -196,7 +190,8 @@ def _steps_of(
 
 
 def _rules_for_consequent(
-    consequent: ConjunctiveQuery,
+    base_text: str,
+    base: ConjunctiveQuery,
     consequent_support: int,
     state: MinerState,
     instance: Instance,
@@ -204,14 +199,13 @@ def _rules_for_consequent(
     memo: dict[str, int],
     table: dict[str, list[_Step]],
 ) -> list[AssociationRule]:
-    base_text, base = canonical_form(consequent)
-    class_text = canonical_form(minimize(base))[0]
+    text = base_text + "."
     max_atoms = state.config.max_atoms
     rules: list[AssociationRule] = []
     if config.include_trivial:
-        rules.append(AssociationRule(base, base, consequent_support, Fraction(1)))
+        rules.append(AssociationRule(text, text, consequent_support, Fraction(1)))
     visited = {base_text}
-    emitted = {class_text}
+    emitted = {base_text}
     frontier = [(base_text, base)]
     while frontier:
         next_frontier: list[tuple[str, ConjunctiveQuery]] = []
@@ -231,7 +225,9 @@ def _rules_for_consequent(
                 if antecedent_text not in emitted:
                     emitted.add(antecedent_text)
                     rules.append(
-                        AssociationRule(antecedent, base, consequent_support, confidence)
+                        AssociationRule(
+                            antecedent_text + ".", text, consequent_support, confidence
+                        )
                     )
                 next_frontier.append((raw_text, raw_form))
         frontier = next_frontier
@@ -249,22 +245,16 @@ def run_phase2(
     a consequent, and its antecedents are explored from most to least
     confident, sharing one antecedent-support memo and one step table.  The
     result is sorted by descending confidence, then antecedent and consequent
-    text.
+    text (with the trailing period, as printed).
     """
     memo: dict[str, int] = {}
     table: dict[str, list[_Step]] = {}
     rules = [
         rule
-        for consequent, consequent_support in _consequent_queries(state)
+        for text, (consequent, consequent_support) in _consequent_queries(state).items()
         for rule in _rules_for_consequent(
-            consequent, consequent_support, state, instance, config, memo, table
+            text, consequent, consequent_support, state, instance, config, memo, table
         )
     ]
-    rules.sort(
-        key=lambda rule: (
-            -rule.confidence,
-            render_query(rule.antecedent),
-            render_query(rule.consequent),
-        )
-    )
+    rules.sort(key=lambda rule: (-rule.confidence, rule.antecedent, rule.consequent))
     return rules

@@ -185,12 +185,6 @@ def substitute_terms(body: Iterable[Atom], mapping: Mapping[Term, Term]) -> froz
     )
 
 
-def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> ConjunctiveQuery:
-    """Apply a term mapping to head and body, validating the result."""
-    head = tuple(mapping.get(v, v) for v in query.head)
-    return ConjunctiveQuery(head, substitute_terms(query.body, mapping))
-
-
 def instantiate(
     query: ConjunctiveQuery, assignment: Mapping[SymbolicConstant, str]
 ) -> ConjunctiveQuery:

@@ -7,6 +7,7 @@ immutable once loaded; an instance's rows are also served as sqlite3 tables.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import re
@@ -109,9 +110,13 @@ def load_schema(path: str | Path) -> Schema:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+        text = data.decode("utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read schema file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise SchemaError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
     decls: list[RelationDecl] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -138,45 +143,30 @@ def load_instance(schema: Schema, data_dir: str | Path) -> Instance:
     """Load one headerless ``<relation>.csv`` file per schema relation.
 
     A leading UTF-8 byte order mark is skipped rather than read as part of
-    the first value.
+    the first value.  Unreadable, non-UTF-8 or malformed files raise ``DataError``.
     """
     data_dir = Path(data_dir)
     tables: dict[str, frozenset[tuple[str, ...]]] = {}
     for decl in schema.relations:
         csv_path = data_dir / f"{decl.name}.csv"
-        if not csv_path.is_file():
-            raise DataError(f"missing data file for relation {decl.name!r}: {csv_path}")
         rows: set[tuple[str, ...]] = set()
-        with open(csv_path, newline="", encoding="utf-8-sig") as handle:
-            for lineno, record in enumerate(csv.reader(handle), start=1):
-                if not record:
-                    continue
-                if len(record) != decl.arity:
-                    raise DataError(
-                        f"{csv_path}:{lineno}: expected {decl.arity} fields, "
-                        f"got {len(record)}"
-                    )
-                rows.add(tuple(record))
+        try:
+            with open(csv_path, newline="", encoding="utf-8-sig") as handle:
+                reader = csv.reader(handle)
+                for lineno, record in enumerate(reader, start=1):
+                    if not record:
+                        continue
+                    if len(record) != decl.arity:
+                        raise DataError(
+                            f"{csv_path}:{lineno}: expected {decl.arity} fields, "
+                            f"got {len(record)}"
+                        )
+                    rows.add(tuple(record))
+        except OSError as exc:
+            raise DataError(f"data file of relation {decl.name!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{csv_path}: not UTF-8 text ({exc.reason})") from exc
+        except csv.Error as exc:
+            raise DataError(f"{csv_path}:{reader.line_num}: {exc}") from exc
         tables[decl.name] = frozenset(rows)
     return Instance(schema, tables)
-
-
-def write_instance(instance: Instance, data_dir: str | Path) -> None:
-    """Serialize an instance back to ``<relation>.csv`` files (sorted rows)."""
-    data_dir = Path(data_dir)
-    data_dir.mkdir(parents=True, exist_ok=True)
-    for decl in instance.schema.relations:
-        with open(data_dir / f"{decl.name}.csv", "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            for row in sorted(instance.tables[decl.name]):
-                writer.writerow(row)
-
-
-def active_domain(instance: Instance, relation: str, column: int) -> frozenset[str]:
-    """The set of constants occurring in one column (0-based) of a relation."""
-    decl = instance.schema.relation(relation)
-    if not 0 <= column < decl.arity:
-        raise DataError(
-            f"column {column} out of range for {relation!r} (arity {decl.arity})"
-        )
-    return frozenset(row[column] for row in instance.tables[relation])

@@ -1,9 +1,9 @@
 """Deterministic rendering of mining results as text lines and JSON.
 
-The text reports are line-oriented and tab-separated so they can be diffed
-and grepped; the structured dump carries the same information with exact
-numbers (confidences as numerator/denominator), so every figure in the text
-reports can be re-derived from it.
+The structured dump carries every query text and exact number of a run
+(confidences as numerator/denominator).  The text reports, line-oriented and
+tab-separated so they can be diffed and grepped, are read off the dump, so
+each query is rendered once.
 """
 
 from __future__ import annotations
@@ -23,18 +23,7 @@ __all__ = [
 ]
 
 
-def _assignment_queries(record: QueryRecord) -> list[tuple[int, str]]:
-    grouped = record.frequent_constants
-    if grouped is None:
-        return []
-    lines = []
-    for values, count in grouped.sorted_items():
-        mapping = dict(zip(grouped.symbols, values))
-        lines.append((count, render_query(instantiate(record.query, mapping))))
-    return lines
-
-
-def frequent_report_lines(state: MinerState) -> list[str]:
+def frequent_report_lines(dump: dict[str, Any]) -> list[str]:
     """One ``<support>\\t<query>`` line per discovery, in discovery order.
 
     A discovery with constant placeholders is followed by one indented line
@@ -42,28 +31,29 @@ def frequent_report_lines(state: MinerState) -> list[str]:
     support; the discovery's headline support is the best assignment's.
     """
     lines = []
-    for record in state.frequent_records():
-        lines.append(f"{record.support}\t{render_query(record.query)}")
-        for count, text in _assignment_queries(record):
-            lines.append(f"  {count}\t{text}")
+    for entry in dump["frequent"]:
+        lines.append(f"{entry['support']}\t{entry['query']}")
+        if entry["constants"] is not None:
+            for assignment in entry["constants"]["assignments"]:
+                lines.append(f"  {assignment['count']}\t{assignment['query']}")
     return lines
 
 
-def rule_report_lines(rules: list[AssociationRule]) -> list[str]:
+def rule_report_lines(dump: dict[str, Any]) -> list[str]:
     """``<confidence>\\t<support>\\t<antecedent> => <consequent>`` lines.
 
     The rules arrive already sorted by descending confidence and canonical
-    text; the confidence column shows six decimals, with the exact fraction
-    available in the structured dump.
+    text; the confidence column shows six decimals of the dump's exact
+    fraction.
     """
     return [
-        f"{float(rule.confidence):.6f}\t{rule.support}\t"
-        f"{render_query(rule.antecedent)} => {render_query(rule.consequent)}"
-        for rule in rules
+        f"{rule['confidence']['numerator'] / rule['confidence']['denominator']:.6f}"
+        f"\t{rule['support']}\t{rule['antecedent']} => {rule['consequent']}"
+        for rule in dump["rules"]
     ]
 
 
-def _record_entry(state: MinerState, record: QueryRecord) -> dict[str, Any]:
+def _record_entry(record: QueryRecord) -> dict[str, Any]:
     entry: dict[str, Any] = {
         "query": render_query(record.query),
         "support": record.support,
@@ -75,10 +65,14 @@ def _record_entry(state: MinerState, record: QueryRecord) -> dict[str, Any]:
         entry["constants"] = {
             "symbols": [f"$c{sym.index}" for sym in grouped.symbols],
             "assignments": [
-                {"values": list(values), "count": count, "query": text}
-                for (values, count), (_, text) in zip(
-                    grouped.sorted_items(), _assignment_queries(record)
-                )
+                {
+                    "values": list(values),
+                    "count": count,
+                    "query": render_query(
+                        instantiate(record.query, dict(zip(grouped.symbols, values)))
+                    ),
+                }
+                for values, count in grouped.sorted_items()
             ],
         }
     return entry
@@ -100,13 +94,11 @@ def run_dump(
             }
             for level in state.levels
         ],
-        "frequent": [
-            _record_entry(state, record) for record in state.frequent_records()
-        ],
+        "frequent": [_record_entry(record) for record in state.frequent_records()],
         "rules": [
             {
-                "antecedent": render_query(rule.antecedent),
-                "consequent": render_query(rule.consequent),
+                "antecedent": rule.antecedent,
+                "consequent": rule.consequent,
                 "support": rule.support,
                 "confidence": {
                     "numerator": rule.confidence.numerator,

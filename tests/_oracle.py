@@ -3,22 +3,32 @@
 Everything here is deliberately naive and independent of the library's own
 algorithms: evaluation enumerates rows atom by atom, and containment is
 decided by instantiating symbolic constants over small constant pools and
-checking the classic frozen-body criterion.
+checking the classic frozen-body criterion.  The last section holds small
+helpers that only tests need.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import random
+from pathlib import Path
 from typing import Iterable, Mapping
 
+from cqmine.errors import DataError
+from cqmine.phase1 import MinerState
+from cqmine.phase2 import AssociationRule
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
     Constant,
     SymbolicConstant,
+    Term,
     Variable,
     instantiate,
+    parse_query,
+    render_query,
+    substitute_terms,
 )
 from cqmine.relational import Instance, Schema
 
@@ -175,3 +185,54 @@ def random_instance(rng: random.Random, beer_schema: Schema, max_rows: int = 12)
             (rng.choice(left), rng.choice(right)) for _ in range(n)
         )
     return Instance(beer_schema, tables)
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests use
+# ---------------------------------------------------------------------------
+
+
+def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> ConjunctiveQuery:
+    """Apply a term mapping to head and body, validating the result."""
+    head = tuple(mapping.get(v, v) for v in query.head)
+    return ConjunctiveQuery(head, substitute_terms(query.body, mapping))
+
+
+def candidate_keys(state: MinerState) -> set[str]:
+    """Every class key admitted as a candidate at some level of a run."""
+    seen: set[str] = set()
+    for level in state.levels:
+        seen.update(level.candidate_keys)
+    return seen
+
+
+def active_domain(instance: Instance, relation: str, column: int) -> frozenset[str]:
+    """The set of constants occurring in one column (0-based) of a relation."""
+    decl = instance.schema.relation(relation)
+    if not 0 <= column < decl.arity:
+        raise DataError(
+            f"column {column} out of range for {relation!r} (arity {decl.arity})"
+        )
+    return frozenset(row[column] for row in instance.tables[relation])
+
+
+def write_instance(instance: Instance, data_dir: str | Path) -> None:
+    """Serialize an instance back to ``<relation>.csv`` files (sorted rows)."""
+    data_dir = Path(data_dir)
+    data_dir.mkdir(parents=True, exist_ok=True)
+    for decl in instance.schema.relations:
+        with open(data_dir / f"{decl.name}.csv", "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            for row in sorted(instance.tables[decl.name]):
+                writer.writerow(row)
+
+
+def rule_queries(rule: AssociationRule) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
+    """A rule's antecedent and consequent, parsed back from their texts.
+
+    Each text must be the rendering of the query it parses to.
+    """
+    queries = parse_query(rule.antecedent), parse_query(rule.consequent)
+    for text, query in zip((rule.antecedent, rule.consequent), queries):
+        assert render_query(query) == text, text
+    return queries

@@ -1,5 +1,6 @@
 """Command-line behavior: reports, exit codes, determinism."""
 
+import csv
 import hashlib
 import json
 import os
@@ -237,6 +238,37 @@ def test_missing_data_file_exit_3_names_relation(tmp_path, capsys):
     ])
     assert rc == 3
     assert "visits" in capsys.readouterr().err
+
+
+# file written over the small valid input, and what the error line names
+BAD_RUNS = {
+    "schema-not-utf8": (
+        "schema.txt", b"# caf\xe9\nlikes(drinker, beer)\n", "schema.txt:1: not UTF-8"
+    ),
+    "csv-not-utf8": ("likes.csv", b"Allen,caf\xe9\n", "likes.csv: not UTF-8"),
+    "csv-field-too-large": (
+        "likes.csv",
+        b"Allen," + b"x" * (csv.field_size_limit() + 1) + b"\n",
+        "likes.csv:1: field larger than field limit",
+    ),
+    "out-dir-is-a-file": ("out", b"", "cannot write reports to"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_RUNS))
+def test_bad_input_or_out_dir_exit_3_without_traceback(case, tmp_path):
+    (tmp_path / "schema.txt").write_text("likes(drinker, beer)\n", encoding="utf-8")
+    (tmp_path / "likes.csv").write_text("Allen,Duvel\n", encoding="utf-8")
+    name, content, message = BAD_RUNS[case]
+    (tmp_path / name).write_bytes(content)
+    result = run_cli(
+        "mine", "--schema", str(tmp_path / "schema.txt"), "--data", str(tmp_path),
+        "--minsup", "1", "--out-dir", str(tmp_path / "out"),
+    )
+    assert result.returncode == 3
+    assert result.stderr.startswith("error: ")
+    assert result.stderr.count("\n") == 1
+    assert message in result.stderr
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -142,7 +142,7 @@ def test_equivalent_queries_same_answers(beer_schema, beer_instance):
     # Build equivalent variants explicitly: rename apart, then duplicate an
     # atom with fresh existential variables where that keeps equivalence.
     from cqmine.containment import is_equivalent
-    from cqmine.queries import Atom, ConjunctiveQuery, Variable, substitute
+    from cqmine.queries import Atom, ConjunctiveQuery, Variable
 
     rng = random.Random(88222)
     checked = 0
@@ -152,7 +152,7 @@ def test_equivalent_queries_same_answers(beer_schema, beer_instance):
             v: Variable(f"r_{v.name}")
             for v in sorted(q1.variables(), key=lambda t: t.name)
         }
-        q2 = substitute(q1, renaming)
+        q2 = _oracle.substitute(q1, renaming)
         template = sorted(q2.body, key=str)[0]
         padded = Atom(
             template.relation,

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cqmine.phase2
+from _oracle import rule_queries
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support
@@ -37,7 +38,7 @@ def rules_half(maxtwo_state, beer_instance):
 
 
 def rule_texts(rule):
-    return (render_query(rule.antecedent), render_query(rule.consequent))
+    return (rule.antecedent, rule.consequent)
 
 
 def find_rule(rules, antecedent_text, consequent_text):
@@ -97,8 +98,8 @@ def test_minconf_coerced_to_exact_fraction():
     assert RuleConfig(1).include_trivial is False
 
 
-def test_rule_fields_validated(beer_schema):
-    q = parse_query("Q(x1) :- likes(x1, x2)", beer_schema)
+def test_rule_fields_validated():
+    q = "Q(x1) :- likes(x1, x2)."
     with pytest.raises(ConfigError):
         AssociationRule(q, q, 0, Fraction(1))
     with pytest.raises(ConfigError):
@@ -237,21 +238,19 @@ def test_exact_threshold_keeps_only_certain_rules(rules_exact):
 
 def test_rule_sides_share_the_head_and_nest(rules_half):
     for rule in rules_half:
-        assert rule.antecedent.head == rule.consequent.head
-        assert is_contained(rule.consequent, rule.antecedent)
+        antecedent, consequent = rule_queries(rule)
+        assert antecedent.head == consequent.head
+        assert is_contained(consequent, antecedent)
 
 
 def test_no_duplicate_rules(rules_half):
-    pairs = [
-        (ordered_key(rule.antecedent), ordered_key(rule.consequent))
-        for rule in rules_half
-    ]
+    pairs = [tuple(ordered_key(q) for q in rule_queries(rule)) for rule in rules_half]
     assert len(set(pairs)) == len(pairs)
 
 
 def test_rules_sorted_by_confidence_then_text(rules_half):
     ordering = [
-        (-rule.confidence, render_query(rule.antecedent), render_query(rule.consequent))
+        (-rule.confidence, *(render_query(q) for q in rule_queries(rule)))
         for rule in rules_half
     ]
     assert ordering == sorted(ordering)
@@ -260,8 +259,9 @@ def test_rules_sorted_by_confidence_then_text(rules_half):
 def test_sampled_rules_verified_against_the_data(rules_half, beer_instance):
     rng = random.Random(20260823)
     for rule in rng.sample(rules_half, 250):
-        consequent_support = support(rule.consequent, beer_instance)
-        antecedent_support = support(rule.antecedent, beer_instance)
+        antecedent, consequent = rule_queries(rule)
+        consequent_support = support(consequent, beer_instance)
+        antecedent_support = support(antecedent, beer_instance)
         assert rule.support == consequent_support >= 2
         assert rule.confidence == Fraction(consequent_support, antecedent_support)
         assert rule.confidence >= Fraction(1, 2)
@@ -271,13 +271,13 @@ def test_confidence_anti_monotone_along_antecedent_nesting(rules_half):
     rng = random.Random(4)
     by_consequent = {}
     for rule in rules_half:
-        by_consequent.setdefault(render_query(rule.consequent), []).append(rule)
+        by_consequent.setdefault(render_query(rule_queries(rule)[1]), []).append(rule)
     groups = [g for g in by_consequent.values() if len(g) >= 2]
     checked = 0
     for group in rng.sample(groups, min(40, len(groups))):
         for first in rng.sample(group, min(6, len(group))):
             for second in rng.sample(group, min(6, len(group))):
-                if is_contained(first.antecedent, second.antecedent):
+                if is_contained(rule_queries(first)[0], rule_queries(second)[0]):
                     assert second.confidence <= first.confidence
                     checked += 1
     assert checked >= 40
@@ -285,7 +285,8 @@ def test_confidence_anti_monotone_along_antecedent_nesting(rules_half):
 
 def test_trivial_rules_only_on_request(maxtwo_state, beer_instance, rules_exact):
     def is_trivial(rule):
-        return ordered_key(rule.antecedent) == ordered_key(rule.consequent)
+        antecedent, consequent = rule_queries(rule)
+        return ordered_key(antecedent) == ordered_key(consequent)
 
     assert not any(is_trivial(rule) for rule in rules_exact)
     with_trivial = run_phase2(

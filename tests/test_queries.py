@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from _oracle import substitute
 from cqmine.errors import QueryError
 from cqmine.queries import (
     Atom,
@@ -19,7 +20,6 @@ from cqmine.queries import (
     parse_query,
     render_query,
     render_term,
-    substitute,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
+import csv
 from pathlib import Path
 
 import pytest
 
+from _oracle import active_domain, write_instance
 from cqmine.errors import DataError, SchemaError
 from cqmine.relational import (
     Instance,
     Schema,
     RelationDecl,
-    active_domain,
     load_instance,
     load_schema,
-    write_instance,
 )
 
 # ---------------------------------------------------------------------------
@@ -51,6 +51,13 @@ def test_load_schema_rejects(tmp_path: Path, text: str):
     path = tmp_path / "schema.txt"
     path.write_text(text)
     with pytest.raises(SchemaError):
+        load_schema(path)
+
+
+def test_load_schema_not_utf8_names_file_and_line(tmp_path: Path):
+    path = tmp_path / "schema.txt"
+    path.write_bytes(b"r(a, b)\n# caf\xe9\ns(a)\n")
+    with pytest.raises(SchemaError, match=r"schema\.txt:2: not UTF-8 text"):
         load_schema(path)
 
 
@@ -114,6 +121,17 @@ def test_load_instance_crlf_line_endings(tmp_path: Path):
     # CRLF and LF rows mix freely; a line break inside quotes is kept as is
     rows = load_r(tmp_path, b'a,b\r\nc,d\n\r\n"x\r\ny",z\r\n')
     assert rows == frozenset({("a", "b"), ("c", "d"), ("x\r\ny", "z")})
+
+
+def test_load_instance_not_utf8_names_file(tmp_path: Path):
+    with pytest.raises(DataError, match=r"r\.csv: not UTF-8 text"):
+        load_r(tmp_path, b"a,b\ncaf\xe9,c\n")
+
+
+def test_load_instance_oversized_field_names_file_and_line(tmp_path: Path):
+    field = b"x" * (csv.field_size_limit() + 1)
+    with pytest.raises(DataError, match=r"r\.csv:2: field larger than field limit"):
+        load_r(tmp_path, b"a,b\n" + field + b",c\n")
 
 
 def test_load_instance_missing_file(tmp_path: Path):

@@ -153,13 +153,13 @@ def load_instance(schema: Schema, data_dir: str | Path) -> Instance:
         try:
             with open(csv_path, newline="", encoding="utf-8-sig") as handle:
                 reader = csv.reader(handle)
-                for lineno, record in enumerate(reader, start=1):
+                for record in reader:
                     if not record:
                         continue
                     if len(record) != decl.arity:
                         raise DataError(
-                            f"{csv_path}:{lineno}: expected {decl.arity} fields, "
-                            f"got {len(record)}"
+                            f"{csv_path}:{reader.line_num}: expected {decl.arity} "
+                            f"fields, got {len(record)}"
                         )
                     rows.add(tuple(record))
         except OSError as exc:

@@ -147,6 +147,10 @@ def test_load_instance_width_mismatch(tmp_path: Path):
     schema = load_schema(tmp_path / "schema.txt")
     with pytest.raises(DataError, match="expected 2 fields"):
         load_instance(schema, tmp_path)
+    # the line is the file's, not the record's: a quoted field spans two
+    (tmp_path / "r.csv").write_text('"x\ny",z\n1,2,3\n')
+    with pytest.raises(DataError, match=r"r\.csv:3: expected 2 fields"):
+        load_instance(schema, tmp_path)
 
 
 def test_instance_constructor_checks_width():

@@ -129,6 +129,45 @@ def test_report_bytes_are_pinned(extra, tmp_path):
     assert digests == PINNED_REPORTS[extra]
 
 
+# the same digests for three-atom runs, which exercise phase-1 admission
+# far more than the two-atom runs above
+PINNED_THREE_ATOM_REPORTS = {
+    ("--no-constants", "--minsup", "40"): (
+        "0ccc6425965e2e9f27428ef9338f95b156ddb9605750a808510b249ca5747258",
+        "b630ff24bda0af69fb7cc95f30dce0d2fbf57e3a36f32ed1feb1af08d2f68e69",
+        "249383cd14d5a1d69cd4adf308043c875a664b26a19dceee80df2c9cb4fc8604",
+    ),
+    ("--minsup", "3", "--key-atom", "likes(_,_)"): (
+        "073579c1fa828ac77ca8b1308414b4112e854ac17c20519cd679017831c094ce",
+        "0e4fa9421604c55602978b9ff70d74522cfafbd90d6de916519733d84fa39a6e",
+        "88ebde128eec76f2103b57231b284cddc194503ce9acca2f178c1d75a8b37220",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "extra", list(PINNED_THREE_ATOM_REPORTS), ids=["no-constants", "key-atom"]
+)
+def test_three_atom_report_bytes_are_pinned(extra, tmp_path):
+    out = tmp_path / "run"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "schema.txt",
+            "--data", ".", "--max-atoms", "3", "--minconf", "0.5", *extra,
+            "--out-dir", str(out),
+        ],
+        capture_output=True,
+        cwd=BEER,
+        env={**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stderr
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("frequent.txt", "rules.txt", "run.json")
+    )
+    assert digests == PINNED_THREE_ATOM_REPORTS[extra]
+
+
 def test_structured_stdout_equals_run_json(mine_out):
     result = subprocess.run(
         [

@@ -104,12 +104,13 @@ def cmd_mine(manifest: RunManifest) -> int:
     rules = run_phase2(state, instance, manifest.rules)
 
     payload = run_dump(state, rules, _parameters(manifest))
-    frequent_lines = frequent_report_lines(payload)
-    rule_lines = rule_report_lines(payload)
 
     out_dir = manifest.out_dir
     if out_dir is not None:
-        reports = {"frequent.txt": frequent_lines, "rules.txt": rule_lines}
+        reports = {
+            "frequent.txt": frequent_report_lines(payload),
+            "rules.txt": rule_report_lines(payload),
+        }
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             for name, lines in reports.items():
@@ -123,6 +124,8 @@ def cmd_mine(manifest: RunManifest) -> int:
     if manifest.format == "structured":
         dump_json(payload, sys.stdout)
         return 0
+    frequent_lines = frequent_report_lines(payload)
+    rule_lines = rule_report_lines(payload)
     print(f"# frequent queries: {len(frequent_lines)}")
     for line in frequent_lines:
         print(line)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
@@ -273,71 +274,73 @@ def specializations(
 
 
 def immediate_generalizations(
-    query: ConjunctiveQuery, config: MinerConfig
-) -> dict[str, ConjunctiveQuery]:
-    """Strictly more general classes one inverse operation away, keyed by class.
+    representative: ConjunctiveQuery, config: MinerConfig
+) -> Iterator[tuple[str, ConjunctiveQuery]]:
+    """Yield the strictly more general classes one inverse operation away.
 
-    Inverse extension removes a body atom, inverse join splits one
-    variable's occurrences in two and inverse selection re-opens a literal
-    constant at some of its occurrences; these head-preserving steps come
-    from ``cqmine.generalization``, with a body budget that leaves no room
-    for duplicated atoms.  A symbolic constant re-opens at all its
-    occurrences at once, and inverse projection extends the head by an
-    existing body variable.  Results are keyed and represented by
-    ``class_of``; anything equivalent to (or not actually more general than)
-    the input is dropped, as is anything outside the key-atom language when
-    one is configured.
+    ``representative`` must be a class representative as ``class_of``
+    returns it: atom removal is strict only on a minimized body.  Each
+    result is a ``(key, representative)`` pair from ``class_of``.  Inverse
+    extension removes a body atom, inverse join splits one variable's
+    occurrences in two and inverse selection re-opens a literal constant at
+    some of its occurrences; these head-preserving steps come from
+    ``cqmine.generalization``, with a body budget that leaves no room for
+    duplicated atoms.  A symbolic constant re-opens at all its occurrences
+    at once, and inverse projection extends the head by an existing body
+    variable.  Anything equivalent to the input is dropped, as is anything
+    outside the key-atom language when one is configured.
+
+    Results come lazily and cheapest first, so a caller that stops early
+    pays only for the ones it looked at: removals, re-openings and inverse
+    projections, which are strict by construction, come before the splits,
+    which need a containment check.  Keys may repeat.
     """
-    _, base = class_of(query, config)
-    results: dict[str, ConjunctiveQuery] = {}
+    head, body = representative.head, representative.body
     anchor_relation = (
         config.key_atom.relation if config.key_atom is not None else None
     )
 
-    def add(candidate: ConjunctiveQuery, *, check_strict: bool) -> None:
-        # every inverse operation admits a substitution carrying its result's
-        # body onto the base body while covering the head, so the base is
-        # always at least as specific as the candidate; only equivalence has
-        # to be ruled out, and only where construction does not already
-        # guarantee strictness.  Both that check and the key-atom language
-        # check are invariant under equivalence, so they run on the raw
-        # candidate before the cost of canonicalizing it.
-        if anchor_relation is not None:
-            if Atom(anchor_relation, candidate.head) not in candidate.body:
-                return
-        if check_strict and is_diagonally_contained(candidate, base):
-            return
-        key, reduced = class_of(candidate, config)
-        results.setdefault(key, reduced)
+    def in_language(candidate: ConjunctiveQuery) -> bool:
+        # invariant under equivalence, so checked on the raw candidate before
+        # the cost of canonicalizing it
+        return (
+            anchor_relation is None
+            or Atom(anchor_relation, candidate.head) in candidate.body
+        )
 
-    # The base body is minimized, so what remains after removing an atom
-    # never maps onto the whole and the result is strictly more general.
-    for candidate in atom_removals(base):
-        add(candidate, check_strict=False)
+    # Every inverse operation admits a substitution carrying its result's
+    # body onto the input body while covering the head, so the input is
+    # always at least as specific as the result; only equivalence has to be
+    # ruled out, and only where construction does not already guarantee
+    # strictness.
 
-    # A split can collapse back into the base class, so strictness is checked.
-    for candidate in splits(base, len(base.body)):
-        add(candidate, check_strict=True)
+    # The body is minimized, so what remains after removing an atom never
+    # maps onto the whole and the result is strictly more general.
+    for candidate in atom_removals(representative):
+        if in_language(candidate):
+            yield class_of(candidate, config)
 
     # Symbolic constants re-open wholesale: strict, since no homomorphism can
     # reintroduce the vanished symbol.
-    for symbol in sorted(base.symbolic_constants(), key=lambda s: s.index):
-        fresh = fresh_variable(_used_names(base))
-        add(
-            ConjunctiveQuery(
-                base.head, substitute_terms(base.body, {symbol: fresh})
-            ),
-            check_strict=False,
-        )
+    for symbol in sorted(representative.symbolic_constants(), key=lambda s: s.index):
+        fresh = fresh_variable(_used_names(representative))
+        candidate = ConjunctiveQuery(head, substitute_terms(body, {symbol: fresh}))
+        if in_language(candidate):
+            yield class_of(candidate, config)
 
     # Inverse projection: put an existing non-head variable into the head.
     # The wider head can never be covered back, so the result is strict.
     if config.key_atom is None:
-        head_set = set(base.head)
-        for variable in sorted(base.variables() - head_set, key=lambda v: v.name):
-            add(ConjunctiveQuery(base.head + (variable,), base.body), check_strict=False)
+        unexported = representative.variables() - set(head)
+        for variable in sorted(unexported, key=lambda v: v.name):
+            yield class_of(ConjunctiveQuery(head + (variable,), body), config)
 
-    return {key: results[key] for key in sorted(results)}
+    # A split can collapse back into the input's class, so strictness is checked.
+    for candidate in splits(representative, len(body)):
+        if in_language(candidate) and not is_diagonally_contained(
+            candidate, representative
+        ):
+            yield class_of(candidate, config)
 
 
 ADMIT = "admit"
@@ -347,28 +350,35 @@ DEFER = "defer"
 
 def admission(
     key: str,
-    query: ConjunctiveQuery,
+    representative: ConjunctiveQuery,
     state: MinerState,
     parents: dict[str, list[str]],
 ) -> str:
     """What the search does with one pooled candidate of class ``key``.
 
-    ``ADMIT``: every immediate generalization is frequent, so the candidate
-    is evaluated.  ``PRUNE``: the candidate leaves the pool unevaluated,
-    either because its class is already classified or because one of its
-    generalizations is infrequent; support never grows under
+    ``representative`` is the pooled class representative, as ``class_of``
+    returns it.  ``ADMIT``: every immediate generalization is frequent, so
+    the candidate is evaluated.  ``PRUNE``: the candidate leaves the pool
+    unevaluated, either because its class is already classified or because
+    one of its generalizations is infrequent; support never grows under
     specialization, so in the second case the class is recorded infrequent.
     ``DEFER``: some generalization is not classified yet, so the candidate
-    waits for a later iteration.  ``parents`` memoizes each class's
-    generalization keys across calls.
+    waits for a later iteration.  The generalizations are walked lazily and
+    the walk stops at the first infrequent one; ``parents`` memoizes each
+    fully walked class's generalization keys across calls.
     """
     if key in state.frequent_index or key in state.infrequent_index:
         return PRUNE
     parent_keys = parents.get(key)
     if parent_keys is None:
-        parent_keys = parents[key] = list(
-            immediate_generalizations(query, state.config)
-        )
+        parent_keys = []
+        generalizations = immediate_generalizations(representative, state.config)
+        for parent, _ in generalizations:
+            parent_keys.append(parent)
+            if parent in state.infrequent_index:
+                break
+        else:
+            parents[key] = parent_keys
     if any(parent in state.infrequent_index for parent in parent_keys):
         state.infrequent_index.add(key)
         return PRUNE

@@ -9,7 +9,6 @@ placeholders that range over constants.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Union

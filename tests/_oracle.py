@@ -16,7 +16,12 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from cqmine.errors import DataError
-from cqmine.phase1 import MinerState
+from cqmine.phase1 import (
+    MinerConfig,
+    MinerState,
+    class_of,
+    immediate_generalizations,
+)
 from cqmine.phase2 import AssociationRule
 from cqmine.queries import (
     Atom,
@@ -196,6 +201,20 @@ def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> Conjunc
     """Apply a term mapping to head and body, validating the result."""
     head = tuple(mapping.get(v, v) for v in query.head)
     return ConjunctiveQuery(head, substitute_terms(query.body, mapping))
+
+
+def generalization_classes(
+    query: ConjunctiveQuery, config: MinerConfig
+) -> dict[str, ConjunctiveQuery]:
+    """Every immediate generalization class of any query, keyed and in key order.
+
+    The eager view of ``immediate_generalizations``: the query is first
+    reduced to its class representative, then every parent is collected.
+    """
+    found: dict[str, ConjunctiveQuery] = {}
+    for key, parent in immediate_generalizations(class_of(query, config)[1], config):
+        found.setdefault(key, parent)
+    return {key: found[key] for key in sorted(found)}
 
 
 def candidate_keys(state: MinerState) -> set[str]:

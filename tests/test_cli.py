@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import cqmine
+from cqmine import cli
 from cqmine.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -203,6 +204,21 @@ def test_mine_stdout_structured_format(capsys):
     assert payload["parameters"]["minsup"] == 2
     assert payload["parameters"]["max_atoms"] == 1
     assert payload["parameters"]["modulo_head_permutation"] is True
+    assert any(e["query"] == "Q(x1, x2) :- likes(x1, x2)." for e in payload["frequent"])
+
+
+def test_structured_stdout_builds_no_text_report(monkeypatch, capsys):
+    def not_written(payload):
+        raise AssertionError("a text report was built but is not written")
+
+    monkeypatch.setattr(cli, "frequent_report_lines", not_written)
+    monkeypatch.setattr(cli, "rule_report_lines", not_written)
+    rc = main([
+        "mine", "--schema", SCHEMA, "--data", str(BEER),
+        "--minsup", "2", "--max-atoms", "1", "--format", "structured",
+    ])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
     assert any(e["query"] == "Q(x1, x2) :- likes(x1, x2)." for e in payload["frequent"])
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cqmine.errors import QueryError
-from cqmine.evaluation import GroupedSupport, evaluate, support, support_grouped
+from cqmine.evaluation import evaluate, support, support_grouped
 from cqmine.queries import instantiate, parse_query
 from cqmine.relational import Instance
 

@@ -5,21 +5,24 @@ import pytest
 from cqmine.containment import is_diagonally_contained, is_equivalent
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support
+from cqmine import phase1
 from cqmine.phase1 import (
     ADMIT,
     DEFER,
     PRUNE,
     MinerConfig,
+    MinerState,
     admission,
     class_of,
     initial_candidates,
-    immediate_generalizations,
     parse_key_atom,
     run_phase1,
     specializations,
 )
 from cqmine.queries import Atom, parse_query, render_query
 from cqmine.relational import RelationDecl, Schema
+
+from _oracle import candidate_keys, generalization_classes
 
 
 UNORDERED = MinerConfig(minsup=1)
@@ -236,7 +239,7 @@ def test_class_keys_are_state_keys(beer_schema):
         query = parse_query(text, beer_schema)
         for found in (
             specializations(query, beer_schema, config),
-            immediate_generalizations(query, config),
+            generalization_classes(query, config),
         ):
             assert list(found) == sorted(found)
             for key, representative in found.items():
@@ -252,12 +255,12 @@ def test_class_keys_are_state_keys(beer_schema):
 def test_most_general_queries_have_no_generalizations(beer_schema):
     config = MinerConfig(minsup=2, max_atoms=2)
     for query in initial_candidates(beer_schema, config):
-        assert list(immediate_generalizations(query, config).values()) == []
+        assert list(generalization_classes(query, config).values()) == []
 
 
 def test_generalizations_of_shared_drinker_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)", beer_schema)
-    results = immediate_generalizations(
+    results = generalization_classes(
         query, MinerConfig(minsup=2, max_atoms=2)
     ).values()
     # splitting the shared drinker un-exports one of them, leaving the class
@@ -267,7 +270,7 @@ def test_generalizations_of_shared_drinker_join(beer_schema):
 
 def test_generalizations_of_mixed_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)", beer_schema)
-    results = immediate_generalizations(
+    results = generalization_classes(
         query, MinerConfig(minsup=2, max_atoms=2)
     ).values()
     got = keys(results)
@@ -278,7 +281,7 @@ def test_generalizations_of_mixed_join(beer_schema):
 
 def test_generalizations_reopen_symbolic_constant(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,$c1)", beer_schema)
-    results = immediate_generalizations(
+    results = generalization_classes(
         query, MinerConfig(minsup=2, max_atoms=2)
     ).values()
     assert keys(results) == {key_of("Q(x1) :- likes(x1,x2)")}
@@ -286,7 +289,7 @@ def test_generalizations_reopen_symbolic_constant(beer_schema):
 
 def test_generalizations_restore_head_variable(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,x2)", beer_schema)
-    results = immediate_generalizations(
+    results = generalization_classes(
         query, MinerConfig(minsup=2, max_atoms=2)
     ).values()
     assert keys(results) == {key_of("Q(x1,x2) :- likes(x1,x2)")}
@@ -300,7 +303,7 @@ def test_generalizations_are_strict(beer_schema):
         "Q(x1) :- likes(x1,$c1), visits(x1,x2)",
     ]:
         query = parse_query(text, beer_schema)
-        for parent in immediate_generalizations(query, config).values():
+        for parent in generalization_classes(query, config).values():
             assert is_diagonally_contained(query, parent)
             assert not is_diagonally_contained(parent, query)
 
@@ -309,7 +312,7 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
     query = parse_query("Q(x1,x2) :- likes(x1,x2), visits(x1,x3)", beer_schema)
-    results = immediate_generalizations(query, config).values()
+    results = generalization_classes(query, config).values()
     got = keys(results)
     # splitting the shared drinker on the visits side stays anchored
     assert key_of("Q(x1,x2) :- likes(x1,x2), visits(x4,x3)") in got
@@ -324,7 +327,8 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
 
 
 def verdict_for(query, state):
-    return admission(state_key(state, query), query, state, {})
+    key, representative = class_of(query, state.config)
+    return admission(key, representative, state, {})
 
 
 def test_prune_drops_already_seen_classes(beer_instance):
@@ -363,6 +367,27 @@ def test_prune_blocks_class_with_unknown_parent(beer_instance):
     state.infrequent_index -= {key, chain}
     assert verdict_for(candidate, state) == DEFER
     assert key not in state.infrequent_index
+
+
+def test_prune_stops_at_first_infrequent_parent(beer_schema, monkeypatch):
+    # atom removals come before splits, so an infrequent removal settles the
+    # verdict before any split reaches the strictness check
+    def no_split_expected(*args):
+        raise AssertionError("a split was checked after the verdict was known")
+
+    monkeypatch.setattr(phase1, "is_diagonally_contained", no_split_expected)
+    config = MinerConfig(minsup=2, max_atoms=2)
+    state = MinerState(config=config, schema=beer_schema)
+    removal = key_of("Q(x1) :- likes(x1,x2)")
+    state.infrequent_index.add(removal)
+    key, representative = class_of(
+        parse_query("Q(x1) :- likes(x1,x2), visits(x1,x3)"), config
+    )
+    parents = {}
+    assert admission(key, representative, state, parents) == PRUNE
+    assert key in state.infrequent_index
+    # a walk cut short leaves no memo behind
+    assert parents == {}
 
 
 # ---------------------------------------------------------------------------
@@ -581,3 +606,20 @@ def test_run_records_are_minimized_representatives(beer_run):
     for record in beer_run.frequent_records():
         assert state_key(beer_run, record.query) in beer_run.frequent_index
         assert render_query(record.query).startswith("Q(")
+
+
+def test_run_obeys_the_apriori_invariant(beer_run):
+    # keys are canonical texts, so each one parses back to its representative
+    def parents_of(key):
+        query = parse_query(key)
+        assert state_key(beer_run, query) == key
+        return generalization_classes(query, beer_run.config)
+
+    evaluated = candidate_keys(beer_run)
+    assert set(beer_run.frequent_index) <= evaluated
+    for key in evaluated:
+        assert all(parent in beer_run.frequent_index for parent in parents_of(key))
+    pruned = beer_run.infrequent_index - evaluated
+    assert pruned
+    for key in pruned:
+        assert any(parent in beer_run.infrequent_index for parent in parents_of(key))

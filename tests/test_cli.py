@@ -455,6 +455,25 @@ def test_sql_subcommand_prints_select(capsys):
     assert ":minsup" in out
 
 
+def test_sql_subcommand_bytes_are_pinned(capsys):
+    # two atoms of one relation, a literal constant and a placeholder: the
+    # text lists the atoms in rendered-text order, whatever order the query
+    # algebra sorts them in
+    rc = main([
+        "sql", "--schema", SCHEMA,
+        "Q(x, y) :- likes(x, $c1), likes(x, 'Duvel'), visits(x, y).",
+    ])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        'SELECT s."$c1", COUNT(*) AS support FROM (SELECT DISTINCT '
+        't1."beer" AS "$c1", t1."drinker" AS "x", t3."bar" AS "y" '
+        'FROM "likes" t1, "likes" t2, "visits" t3 '
+        "WHERE t2.\"drinker\" = t1.\"drinker\" AND t2.\"beer\" = 'Duvel' "
+        'AND t3."drinker" = t1."drinker") s '
+        'GROUP BY s."$c1" HAVING COUNT(*) >= :minsup\n'
+    )
+
+
 # ---------------------------------------------------------------------------
 # names and values that SQL text must carry unchanged
 # ---------------------------------------------------------------------------

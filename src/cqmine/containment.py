@@ -22,14 +22,7 @@ import functools
 from collections import Counter
 from typing import Iterator, Mapping
 
-from .queries import (
-    Atom,
-    ConjunctiveQuery,
-    Constant,
-    SymbolicConstant,
-    Term,
-    Variable,
-)
+from .queries import Atom, ConjunctiveQuery, Term
 
 # ---------------------------------------------------------------------------
 # homomorphism search
@@ -45,17 +38,18 @@ def _unify(
     """Extend ``mapping`` so that ``atom`` maps onto ``target``, or fail."""
     out = mapping
     copied = False
-    for t_from, t_to in zip(atom.args, target.args):
-        if isinstance(t_from, Constant):
+    for t_from, t_to in zip(atom[1], target[1]):
+        tag = t_from[0]
+        if tag == "c":
             if t_from != t_to:
                 return None
             continue
-        if isinstance(t_from, SymbolicConstant):
+        if tag == "s":
             if frozen_symbolics:
                 if t_to != t_from:
                     return None
                 continue
-            if isinstance(t_to, Variable):
+            if t_to[0] == "v":
                 return None
         bound = out.get(t_from)
         if bound is None:
@@ -76,13 +70,13 @@ def _iter_homs(
 ) -> Iterator[dict[Term, Term]]:
     """Yield homomorphisms from ``from_body`` into ``to_body`` extending ``seed``."""
     targets: dict[tuple[str, int], list[Atom]] = {}
-    for atom in sorted(to_body, key=str):
+    for atom in sorted(to_body):
         targets.setdefault((atom.relation, len(atom.args)), []).append(atom)
 
     def bound_args(atom: Atom) -> int:
-        return sum(1 for t in atom.args if t in seed or isinstance(t, Constant))
+        return sum(1 for t in atom[1] if t in seed or t[0] == "c")
 
-    atoms = sorted(from_body, key=lambda a: (-bound_args(a), str(a)))
+    atoms = sorted(from_body, key=lambda a: (-bound_args(a), a))
 
     def extend(i: int, mapping: dict[Term, Term]) -> Iterator[dict[Term, Term]]:
         if i == len(atoms):
@@ -167,7 +161,7 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
         candidates = [
             atom for atom in body if relation_counts[atom.relation] > 1
         ]
-        for atom in sorted(candidates, key=str):
+        for atom in sorted(candidates):
             reduced = body - {atom}
             for _ in _iter_homs(body, reduced, head_seed, frozen_symbolics=True):
                 body = reduced

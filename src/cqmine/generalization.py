@@ -28,7 +28,7 @@ __all__ = ["atom_removals", "inverse_substitutions", "splits"]
 def atom_removals(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
     """Yield ``query`` without one body atom, unless that strands a head variable."""
     head_vars = set(query.head)
-    body = sorted(query.body, key=str)
+    body = sorted(query.body)
     if len(body) < 2:
         return
     for atom in body:
@@ -37,7 +37,7 @@ def atom_removals(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
             term
             for other in rest
             for term in other.args
-            if isinstance(term, Variable)
+            if term[0] == "v"
         }
         if head_vars <= rest_vars:
             yield ConjunctiveQuery(query.head, rest)
@@ -64,7 +64,7 @@ def inverse_substitutions(
     only the split whose renamed positions, as sorted bit masks per atom,
     compare higher is yielded.
     """
-    holders = sorted((atom for atom in query.body if target in atom.args), key=str)
+    holders = sorted(atom for atom in query.body if target in atom.args)
     if not holders:
         return
     others = [atom for atom in query.body if target not in atom.args]
@@ -129,7 +129,5 @@ def inverse_substitutions(
 
 def splits(query: ConjunctiveQuery, max_atoms: int) -> Iterator[ConjunctiveQuery]:
     """Yield the inverse substitutions of every variable, then every constant."""
-    variables = sorted(query.variables(), key=lambda v: v.name)
-    constants = sorted(query.constants(), key=lambda c: c.value)
-    for term in (*variables, *constants):
+    for term in (*sorted(query.variables()), *sorted(query.constants())):
         yield from inverse_substitutions(query, term, max_atoms)

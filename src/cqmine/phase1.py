@@ -233,7 +233,7 @@ def specializations(
     # two choices of survivor drop different head positions, so both are
     # produced; otherwise a head variable survives, falling back to name
     # order when neither is in the head.
-    variables = sorted(base.variables(), key=lambda v: v.name)
+    variables = sorted(base.variables())
     for left, right in itertools.combinations(variables, 2):
         survivors: list[tuple[Variable, Variable]]
         if left in head_set and right in head_set:
@@ -253,10 +253,10 @@ def specializations(
 
     # Selection: bind a non-head variable to a symbolic constant.
     if config.enable_constants:
+        symbol = fresh_symbolic_constant(base.symbolic_constants())
         for variable in variables:
             if variable in head_set:
                 continue
-            symbol = fresh_symbolic_constant(base.symbolic_constants())
             add(
                 ConjunctiveQuery(
                     base.head, substitute_terms(base.body, {variable: symbol})
@@ -322,8 +322,8 @@ def immediate_generalizations(
 
     # Symbolic constants re-open wholesale: strict, since no homomorphism can
     # reintroduce the vanished symbol.
-    for symbol in sorted(representative.symbolic_constants(), key=lambda s: s.index):
-        fresh = fresh_variable(_used_names(representative))
+    fresh = fresh_variable(_used_names(representative))
+    for symbol in sorted(representative.symbolic_constants()):
         candidate = ConjunctiveQuery(head, substitute_terms(body, {symbol: fresh}))
         if in_language(candidate):
             yield class_of(candidate, config)
@@ -332,7 +332,7 @@ def immediate_generalizations(
     # The wider head can never be covered back, so the result is strict.
     if config.key_atom is None:
         unexported = representative.variables() - set(head)
-        for variable in sorted(unexported, key=lambda v: v.name):
+        for variable in sorted(unexported):
             yield class_of(ConjunctiveQuery(head + (variable,), body), config)
 
     # A split can collapse back into the input's class, so strictness is checked.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
 from .errors import QueryError
@@ -19,69 +20,69 @@ if TYPE_CHECKING:
     from .relational import Schema
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Variable:
-    name: str
+class _Tagged(tuple):
+    # a term is the tuple (tag, payload), so hashing and comparison run in C;
+    # the tag keeps kinds apart, and terms of different kinds order by tag
+    __slots__ = ()
+    _field = ""
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Variable) and self.name == other.name
+    def __getnewargs__(self) -> tuple:
+        return (self[1],)
 
-    def __hash__(self) -> int:
-        return hash(self.name)
-
-
-@dataclass(frozen=True, slots=True, eq=False)
-class Constant:
-    value: str
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Constant) and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._field}={self[1]!r})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class SymbolicConstant:
+class Variable(_Tagged):
+    __slots__ = ()
+    _field = "name"
+    name = property(itemgetter(1))
+
+    def __new__(cls, name: str) -> Variable:
+        return tuple.__new__(cls, ("v", name))
+
+
+class Constant(_Tagged):
+    __slots__ = ()
+    _field = "value"
+    value = property(itemgetter(1))
+
+    def __new__(cls, value: str) -> Constant:
+        return tuple.__new__(cls, ("c", value))
+
+
+class SymbolicConstant(_Tagged):
     """A named placeholder for an unknown constant, rendered ``$c<index>``."""
 
-    index: int
+    __slots__ = ()
+    _field = "index"
+    index = property(itemgetter(1))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SymbolicConstant) and self.index == other.index
-
-    def __hash__(self) -> int:
-        return hash(self.index)
+    def __new__(cls, index: int) -> SymbolicConstant:
+        return tuple.__new__(cls, ("s", index))
 
 
 Term = Union[Variable, Constant, SymbolicConstant]
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class Atom:
-    relation: str
-    args: tuple[Term, ...]
-    _text: str = field(init=False, repr=False)
-    _hash: int = field(init=False, repr=False)
+class Atom(tuple):
+    """``(relation, args)``; atoms order by relation, then argument terms."""
 
-    def __post_init__(self) -> None:
-        text = f"{self.relation}({', '.join(render_term(t) for t in self.args)})"
-        object.__setattr__(self, "_text", text)
-        object.__setattr__(self, "_hash", hash((self.relation, self.args)))
+    __slots__ = ()
+    relation = property(itemgetter(0))
+    args = property(itemgetter(1))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Atom)
-            and self._hash == other._hash
-            and self.relation == other.relation
-            and self.args == other.args
-        )
+    def __new__(cls, relation: str, args: tuple[Term, ...]) -> Atom:
+        return tuple.__new__(cls, (relation, args))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"Atom(relation={self[0]!r}, args={self[1]!r})"
 
     def __str__(self) -> str:
-        return self._text
+        return f"{self[0]}({', '.join(map(render_term, self[1]))})"
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -126,20 +127,17 @@ class ConjunctiveQuery:
     def arity(self) -> int:
         return len(self.head)
 
+    def _terms(self, tag: str) -> frozenset:
+        return frozenset(t for atom in self.body for t in atom[1] if t[0] == tag)
+
     def variables(self) -> frozenset[Variable]:
-        return frozenset(
-            t for atom in self.body for t in atom.args if isinstance(t, Variable)
-        )
+        return self._terms("v")
 
     def constants(self) -> frozenset[Constant]:
-        return frozenset(
-            t for atom in self.body for t in atom.args if isinstance(t, Constant)
-        )
+        return self._terms("c")
 
     def symbolic_constants(self) -> frozenset[SymbolicConstant]:
-        return frozenset(
-            t for atom in self.body for t in atom.args if isinstance(t, SymbolicConstant)
-        )
+        return self._terms("s")
 
     def __str__(self) -> str:
         atoms = sorted(str(atom) for atom in self.body)
@@ -153,11 +151,12 @@ class ConjunctiveQuery:
 
 
 def render_term(term: Term) -> str:
-    if isinstance(term, Variable):
-        return term.name
-    if isinstance(term, SymbolicConstant):
-        return f"$c{term.index}"
-    return "'" + term.value.replace("'", "''") + "'"
+    tag, payload = term
+    if tag == "v":
+        return payload
+    if tag == "s":
+        return f"$c{payload}"
+    return "'" + payload.replace("'", "''") + "'"
 
 
 def fresh_variable(used: Iterable[str], stem: str = "v") -> Variable:
@@ -178,10 +177,8 @@ def fresh_symbolic_constant(used: Iterable[SymbolicConstant]) -> SymbolicConstan
 
 def substitute_terms(body: Iterable[Atom], mapping: Mapping[Term, Term]) -> frozenset[Atom]:
     """Apply a term mapping to every atom; unmapped terms pass through."""
-    return frozenset(
-        Atom(atom.relation, tuple(mapping.get(t, t) for t in atom.args))
-        for atom in body
-    )
+    get = mapping.get
+    return frozenset(Atom(rel, tuple(map(get, args, args))) for rel, args in body)
 
 
 def instantiate(
@@ -325,35 +322,49 @@ def parse_query(text: str, schema: Schema | None = None) -> ConjunctiveQuery:
 def _atom_text(
     atom: Atom,
     naming: dict[Term, str],
-    counters: list[int],
-    head_pool: list[str] | None,
-) -> str:
+    fresh: tuple[int, int, int],
+    head_names: tuple[frozenset[Variable], list[str]] | None,
+) -> tuple[str, dict[Term, str], tuple[int, int, int]]:
+    """``atom`` under ``naming``, the names of its unseen terms, and the new
+    ``fresh`` counts of variable, placeholder and head names.
+
+    With ``head_names`` (the head variables, their names sorted as text) a
+    head variable takes the least head name still free.
+    """
+    variables, placeholders, heads = fresh
+    added: dict[Term, str] = {}
     parts: list[str] = []
-    for term in atom.args:
-        if isinstance(term, Constant):
-            parts.append(render_term(term))
+    for term in atom[1]:
+        tag = term[0]
+        if tag == "c":
+            parts.append("'" + term[1].replace("'", "''") + "'")
             continue
-        name = naming.get(term)
+        name = naming.get(term) or added.get(term)
         if name is None:
-            if not isinstance(term, Variable):
-                counters[1] += 1
-                name = f"$c{counters[1]}"
-            elif head_pool is not None and term in head_pool[0]:  # type: ignore[operator]
-                # lazily give a head variable the least name still free; the
-                # pool carries (head-var set, available names sorted as text)
-                name = head_pool[1].pop(0)  # type: ignore[union-attr]
+            if tag == "s":
+                placeholders += 1
+                name = f"$c{placeholders}"
+            elif head_names is not None and term in head_names[0]:
+                name = head_names[1][heads]
+                heads += 1
             else:
-                counters[0] += 1
-                name = f"x{counters[0]}"
-            naming[term] = name
+                variables += 1
+                name = f"x{variables}"
+            added[term] = name
         parts.append(name)
-    return f"{atom.relation}({', '.join(parts)})"
+    return f"{atom[0]}({', '.join(parts)})", added, (variables, placeholders, heads)
 
 
 def _least_form(
     head: tuple[Variable, ...], atoms: tuple[Atom, ...], *, lazy_head: bool
 ) -> tuple[str, dict[Term, str]]:
     """Least rendering for a fixed head order, or over all head orders.
+
+    The search is depth-first and, at each position, continues only from
+    the atoms whose rendering ties for the least text.  That is exact: a
+    complete atom rendering is never a proper prefix of another, so a
+    rendering that is not least at some position loses there, whatever
+    follows.
 
     With ``lazy_head`` head variables draw the least still-unused head name
     at their first body occurrence instead of being named by position.  The
@@ -365,45 +376,39 @@ def _least_form(
     arity = len(head)
     prefix = f"Q({', '.join(f'x{i}' for i in range(1, arity + 1))}) :- "
     if lazy_head:
-        naming0: dict[Term, str] = {}
-        pool0 = [
-            frozenset(head),
-            sorted((f"x{i}" for i in range(1, arity + 1))),
-        ]
+        naming: dict[Term, str] = {}
+        head_names = (frozenset(head), sorted(f"x{i}" for i in range(1, arity + 1)))
     else:
-        naming0 = {v: f"x{i}" for i, v in enumerate(head, start=1)}
-        pool0 = None
+        naming = {v: f"x{i}" for i, v in enumerate(head, start=1)}
+        head_names = None
     best: str | None = None
-    best_naming: dict[Term, str] = naming0
-
-    def dfs(remaining: tuple[Atom, ...], naming: dict[Term, str],
-            counters: list[int], pool, acc: str) -> None:
-        nonlocal best, best_naming
-        if best is not None and acc > best[: len(acc)]:
-            return
+    best_naming = naming
+    stack = [(atoms, naming, (arity, 0, 0), prefix)]
+    while stack:
+        remaining, naming, fresh, text = stack.pop()
+        if best is not None and text > best[: len(text)]:
+            continue
         if not remaining:
-            if best is None or acc < best:
-                best = acc
-                best_naming = naming
-            return
-        sep = "" if acc == prefix else ", "
-        branches = []
+            if best is None or text < best:
+                best, best_naming = text, naming
+            continue
+        least = None
         for i, atom in enumerate(remaining):
-            child_naming = dict(naming)
-            child_counters = list(counters)
-            child_pool = [pool[0], list(pool[1])] if pool is not None else None
-            text = _atom_text(atom, child_naming, child_counters, child_pool)
-            branches.append((text, i, child_naming, child_counters, child_pool))
-        branches.sort(key=lambda b: b[0])
-        for text, i, child_naming, child_counters, child_pool in branches:
-            dfs(remaining[:i] + remaining[i + 1:], child_naming, child_counters,
-                child_pool, acc + sep + text)
-
-    dfs(atoms, naming0, [arity, 0], pool0, prefix)
+            rendered, added, counts = _atom_text(atom, naming, fresh, head_names)
+            if least is None or rendered < least:
+                least, ties = rendered, [(i, added, counts)]
+            elif rendered == least:
+                ties.append((i, added, counts))
+        text += least if len(remaining) == len(atoms) else ", " + least
+        for i, added, counts in reversed(ties):
+            stack.append(
+                (remaining[:i] + remaining[i + 1 :], {**naming, **added}, counts, text)
+            )
     assert best is not None
     return best, best_naming
 
 
+@functools.lru_cache(maxsize=None)
 def _term_for_name(name: str) -> Term:
     if name.startswith("$c"):
         return SymbolicConstant(int(name[2:]))
@@ -425,16 +430,9 @@ def canonical_form(
     text, naming = _least_form(
         query.head, atoms, lazy_head=modulo_head_permutation
     )
-    renaming: dict[Term, Term] = {
-        old: _term_for_name(name) for old, name in naming.items()
-    }
-    by_name = {name: old for old, name in naming.items()}
-    chosen_head = tuple(by_name[f"x{i}"] for i in range(1, len(query.head) + 1))
-    renamed = ConjunctiveQuery(
-        tuple(renaming[v] for v in chosen_head),
-        substitute_terms(query.body, renaming),
-    )
-    return text, renamed
+    renaming = {old: _term_for_name(name) for old, name in naming.items()}
+    head = tuple(_term_for_name(f"x{i}") for i in range(1, len(query.head) + 1))
+    return text, ConjunctiveQuery(head, substitute_terms(query.body, renaming))
 
 
 def render_query(query: ConjunctiveQuery) -> str:

@@ -136,6 +136,41 @@ def diagonal_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
     return False
 
 
+def least_rendering(query: ConjunctiveQuery, modulo_head_permutation: bool) -> str:
+    """The canonical text by enumeration: the least rendering over every
+    body-atom order and, with ``modulo_head_permutation``, every head order.
+
+    A rendering names the head ``x1, ..., xk`` by position, then each other
+    variable ``x<k+1>, ...`` and each symbolic constant ``$c1, ...`` by first
+    occurrence along the atom order.
+    """
+    heads = (
+        itertools.permutations(query.head) if modulo_head_permutation else [query.head]
+    )
+    texts = []
+    for head in heads:
+        for atoms in itertools.permutations(query.body):
+            names = {v: f"x{i}" for i, v in enumerate(head, start=1)}
+            counts = {"x": len(head), "$c": 0}
+            rendered = []
+            for atom in atoms:
+                args = []
+                for term in atom.args:
+                    if isinstance(term, Constant):
+                        args.append("'" + term.value.replace("'", "''") + "'")
+                        continue
+                    if term not in names:
+                        stem = "x" if isinstance(term, Variable) else "$c"
+                        counts[stem] += 1
+                        names[term] = f"{stem}{counts[stem]}"
+                    args.append(names[term])
+                rendered.append(f"{atom.relation}({', '.join(args)})")
+            texts.append(
+                f"Q({', '.join(names[v] for v in head)}) :- {', '.join(rendered)}"
+            )
+    return min(texts)
+
+
 # ---------------------------------------------------------------------------
 # random query generation (over the beer schema)
 # ---------------------------------------------------------------------------

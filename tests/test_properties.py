@@ -2,7 +2,9 @@
 
 Phase 2 shares generalization steps between consequents by canonical text,
 which is sound only if that text ignores how variables and placeholders are
-named; minimization must reach a fixed point that is equivalent to its input.
+named; the text must be the least rendering over all atom orders, as the
+enumerating oracle finds it; minimization must reach a fixed point that is
+equivalent to its input.
 """
 
 from hypothesis import assume, given, settings
@@ -74,6 +76,37 @@ def test_canonical_text_ignores_variable_and_placeholder_names(data):
     text, form = canonical_form(query)
     assert canonical_form(renamed) == (text, form)
     assert canonical_form(form)[0] == text
+
+
+@st.composite
+def tied_queries(draw):
+    """Bodies of up to four atoms over two relations, some with their mirror
+    atom, so that several atoms often render alike at one position."""
+    size = draw(st.integers(1, 4))
+    body: list[Atom] = []
+    while len(body) < size:
+        relation = draw(st.sampled_from(["likes", "visits"]))
+        args = (draw(TERMS), draw(TERMS))
+        body.append(Atom(relation, args))
+        if len(body) < 4 and draw(st.booleans()):
+            body.append(Atom(relation, args[::-1]))
+    body_vars = sorted(
+        {t for atom in body for t in atom.args if isinstance(t, Variable)},
+        key=lambda v: v.name,
+    )
+    assume(body_vars)
+    head = draw(st.lists(st.sampled_from(body_vars), min_size=1, unique=True))
+    return ConjunctiveQuery(tuple(head), frozenset(body))
+
+
+@PROPERTY
+@given(tied_queries())
+def test_canonical_text_is_the_least_rendering(query):
+    for modulo_head_permutation in (False, True):
+        text, _ = canonical_form(
+            query, modulo_head_permutation=modulo_head_permutation
+        )
+        assert text == _oracle.least_rendering(query, modulo_head_permutation)
 
 
 @PROPERTY

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from _oracle import substitute
+from cqmine.containment import minimize
 from cqmine.errors import QueryError
 from cqmine.queries import (
     Atom,
@@ -20,6 +21,7 @@ from cqmine.queries import (
     parse_query,
     render_query,
     render_term,
+    substitute_terms,
 )
 
 x, y, z = Variable("x"), Variable("y"), Variable("z")
@@ -73,6 +75,45 @@ def test_term_collections():
     )
     assert query.constants() == frozenset({Constant("Duvel")})
     assert query.symbolic_constants() == frozenset({SymbolicConstant(1)})
+
+
+def test_terms_of_different_kinds_are_distinct():
+    terms = [Variable("a"), Constant("a"), SymbolicConstant(1), Constant("1")]
+    for i, left in enumerate(terms):
+        for right in terms[i + 1:]:
+            assert left != right
+    assert len(set(terms)) == len(terms)
+    assert repr(terms[0]) == "Variable(name='a')"
+    assert repr(terms[2]) == "SymbolicConstant(index=1)"
+
+
+def test_atom_identity_ignores_how_it_was_built():
+    direct = Atom("likes", (x, Constant("Duvel")))
+    parsed = next(iter(parse_query("Q(x) :- likes(x, 'Duvel')").body))
+    mapping = {y: x, z: Constant("Duvel")}
+    substituted = next(iter(substitute_terms([Atom("likes", (y, z))], mapping)))
+    listed = Atom("likes", tuple([Variable("x"), Constant("Duvel")]))
+    for atom in (parsed, substituted, listed):
+        assert atom == direct
+        assert hash(atom) == hash(direct)
+        assert type(atom) is Atom
+    assert len({direct, parsed, substituted, listed}) == 1
+    assert str(direct) == "likes(x, 'Duvel')"
+    assert repr(direct) == (
+        "Atom(relation='likes', args=(Variable(name='x'), Constant(value='Duvel')))"
+    )
+
+
+def test_body_with_mixed_term_kinds_sorts():
+    body = [
+        Atom("likes", (x, y)),
+        Atom("likes", (x, SymbolicConstant(1))),
+        Atom("likes", (x, Constant("1"))),
+        Atom("likes", (Constant("a"), x)),
+    ]
+    ordered = sorted(body)
+    assert sorted(reversed(body)) == ordered
+    assert minimize(q([x], *body)).head == (x,)
 
 
 # ---------------------------------------------------------------------------

@@ -337,7 +337,7 @@ def _atom_text(
     for term in atom[1]:
         tag = term[0]
         if tag == "c":
-            parts.append("'" + term[1].replace("'", "''") + "'")
+            parts.append(render_term(term))
             continue
         name = naming.get(term) or added.get(term)
         if name is None:

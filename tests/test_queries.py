@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -98,6 +100,9 @@ def test_atom_identity_ignores_how_it_was_built():
         assert hash(atom) == hash(direct)
         assert type(atom) is Atom
     assert len({direct, parsed, substituted, listed}) == 1
+    for copied in (copy.deepcopy(direct), pickle.loads(pickle.dumps(direct))):
+        assert copied == direct and type(copied) is Atom
+        assert type(copied.args[0]) is Variable
     assert str(direct) == "likes(x, 'Duvel')"
     assert repr(direct) == (
         "Atom(relation='likes', args=(Variable(name='x'), Constant(value='Duvel')))"

@@ -8,24 +8,35 @@ Queries with symbolic constants are evaluated grouped: each assignment of the
 placeholders to constants gets its own support count.  Every query runs as
 the SQL that ``cqmine.sqlgen`` renders, on the instance's sqlite3 database;
 a database error becomes a ``QueryError``.
+
+Supports are counted per connected component of the body, where atoms are
+connected by shared variables and placeholders (constants link nothing).
+The answer set is the Cartesian product of the components' answer sets, so
+the support is the product of per-component counts: the number of distinct
+projections onto the component's head variables, or 1 or 0 for whether a
+component without head variables is satisfiable, each taken per assignment
+of the component's placeholders.  A zero factor ends the count.
 """
 
 from __future__ import annotations
 
 import sqlite3
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import QueryError
-from .queries import ConjunctiveQuery, SymbolicConstant
+from .queries import (
+    Atom,
+    ConjunctiveQuery,
+    SymbolicConstant,
+    Term,
+    Variable,
+    check_against_schema,
+)
 from .relational import Instance
-from .sqlgen import count_sql, emit_sql
+from .sqlgen import emit_sql, factor_sql
 
 
-def _fetch(
-    render: Callable[..., str], query: ConjunctiveQuery, instance: Instance, **params
-) -> list[tuple]:
-    sql = render(query, instance.schema, params)
+def _fetch(instance: Instance, sql: str, params: dict) -> list[tuple]:
     try:
         return instance.database.execute(sql, params).fetchall()
     except sqlite3.Error as exc:
@@ -37,16 +48,64 @@ def _require_plain(query: ConjunctiveQuery) -> None:
         raise QueryError("query contains symbolic constants; use support_grouped")
 
 
+Component = tuple[tuple[Variable, ...], list[SymbolicConstant], list[Atom]]
+
+
+def _components(query: ConjunctiveQuery) -> list[Component]:
+    """The body's connected components: head variables in head order,
+    placeholders in index order, and atoms.
+
+    Atoms are connected when they share a variable or a placeholder.
+    """
+    holders: dict[Term, list[Atom]] = {}
+    for atom in query.body:
+        for term in atom.args:
+            if term[0] != "c":
+                holders.setdefault(term, []).append(atom)
+    components = []
+    seen: set[Atom] = set()
+    for atom in sorted(query.body):
+        if atom in seen:
+            continue
+        seen.add(atom)
+        stack, atoms = [atom], []
+        while stack:
+            current = stack.pop()
+            atoms.append(current)
+            for term in current.args:
+                for other in holders.get(term, ()):
+                    if other not in seen:
+                        seen.add(other)
+                        stack.append(other)
+        terms = {term for member in atoms for term in member.args}
+        head = tuple(v for v in query.head if v in terms)
+        symbols = sorted((t for t in terms if t[0] == "s"), key=lambda s: s.index)
+        components.append((head, symbols, atoms))
+    return components
+
+
+def _factor_rows(component: Component, instance: Instance, params: dict) -> list[tuple]:
+    sql = factor_sql(*component, instance.schema, params)
+    return _fetch(instance, sql, params)
+
+
 def evaluate(query: ConjunctiveQuery, instance: Instance) -> frozenset[tuple[str, ...]]:
     """The answer set of a symbolic-constant-free query on an instance."""
     _require_plain(query)
-    return frozenset(_fetch(emit_sql, query, instance))
+    params: dict = {}
+    return frozenset(_fetch(instance, emit_sql(query, instance.schema, params), params))
 
 
 def support(query: ConjunctiveQuery, instance: Instance) -> int:
-    """Number of distinct answer tuples, counted without building them."""
+    """Number of distinct answer tuples: the product of per-component counts."""
     _require_plain(query)
-    [(count,)] = _fetch(count_sql, query, instance)
+    check_against_schema(query, instance.schema)
+    count = 1
+    for component in _components(query):
+        [(factor,)] = _factor_rows(component, instance, {})
+        if not factor:
+            return 0
+        count *= factor
     return count
 
 
@@ -77,10 +136,42 @@ def support_grouped(
 ) -> GroupedSupport:
     """Grouped evaluation: support per symbolic-constant assignment.
 
-    Assignments with support below ``minsup`` are omitted.
+    Assignments with support below ``minsup`` are omitted.  A single
+    component is counted with the threshold in SQL; several are counted
+    without one, and their products are filtered.
     """
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
     if not symbols:
         raise QueryError("query has no symbolic constants; use support/evaluate")
-    rows = _fetch(emit_sql, query, instance, minsup=minsup)
-    return GroupedSupport(symbols, {tuple(row[:-1]): row[-1] for row in rows})
+    check_against_schema(query, instance.schema)
+    components = _components(query)
+    threshold = minsup if len(components) == 1 else 1
+    order: list[SymbolicConstant] = []
+    factors: list[dict[tuple[str, ...], int]] = []
+    for component in components:
+        rows = _factor_rows(component, instance, {"minsup": threshold})
+        # a factor without placeholders is the one row (0,) when unsatisfiable
+        counts = {tuple(row[:-1]): row[-1] for row in rows if row[-1]}
+        if not counts:
+            return GroupedSupport(symbols, {})
+        order.extend(component[1])
+        factors.append(counts)
+    # the most each remaining factor can still contribute, to cut partial
+    # assignments that can no longer reach ``minsup``
+    ceilings = [1]
+    for counts in reversed(factors):
+        ceilings.append(ceilings[-1] * max(counts.values()))
+    ceilings.reverse()
+    combined: list[tuple[tuple[str, ...], int]] = [((), 1)]
+    for counts, ceiling in zip(factors, ceilings[1:]):
+        combined = [
+            (values + more, count * factor)
+            for values, count in combined
+            for more, factor in counts.items()
+            if count * factor * ceiling >= minsup
+        ]
+    positions = [order.index(symbol) for symbol in symbols]
+    return GroupedSupport(
+        symbols,
+        {tuple(values[i] for i in positions): count for values, count in combined},
+    )

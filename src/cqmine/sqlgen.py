@@ -4,7 +4,9 @@ Plain queries become a single SELECT DISTINCT over aliased tables with
 equality predicates for shared variables and constants.  Queries with
 symbolic constants become a grouped query: an inner SELECT DISTINCT projects
 the placeholder columns alongside the head, and the outer query groups by the
-placeholders and filters with ``HAVING COUNT(*) >= :minsup``.
+placeholders and filters with ``HAVING COUNT(*) >= :minsup``.  A support is
+counted per connected component of the body (``factor_sql``), from the same
+join text.
 
 Relation, column and variable names are quoted identifiers, so SQL keywords
 stay valid; a placeholder's column is named ``"$c1"``, which no variable name
@@ -13,13 +15,15 @@ can be.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .queries import (
     Atom,
     ConjunctiveQuery,
     Constant,
+    SymbolicConstant,
     Term,
+    Variable,
     check_against_schema,
     render_term,
 )
@@ -43,15 +47,8 @@ def table_sql(decl: RelationDecl) -> tuple[str, str]:
     return f"CREATE TABLE {table} ({columns})", f"INSERT INTO {table} VALUES ({marks})"
 
 
-def emit_sql(
-    query: ConjunctiveQuery, schema: Schema, params: dict[str, str] | None = None
-) -> str:
-    """SQL text computing the query's answer (or grouped supports).
-
-    Constants are inline literals or, when ``params`` is given, parameters
-    ``:k1``, ``:k2``, ... added to ``params``, so that any value, NUL included,
-    reaches the database intact.  A grouped query also expects ``:minsup``.
-    """
+def _binder(params: dict[str, str] | None) -> Callable[[Constant], str]:
+    """Render a constant inline, or bind it as the next ``:k<n>`` parameter."""
 
     def literal(constant: Constant) -> str:
         if params is None:
@@ -60,8 +57,18 @@ def emit_sql(
         params[name] = constant.value
         return f":{name}"
 
-    check_against_schema(query, schema)
-    atoms = sorted(query.body, key=str)
+    return literal
+
+
+def _join(
+    atoms: Iterable[Atom], schema: Schema, literal: Callable[[Constant], str]
+) -> tuple[dict[Term, str], str]:
+    """The join of ``atoms``: each term's first column, and the text after FROM.
+
+    Atoms are aliased ``t1, t2, ...`` in text order; a repeated variable or
+    placeholder and every constant become equality predicates.
+    """
+    atoms = sorted(atoms, key=str)
     aliases: dict[Atom, str] = {
         atom: f"t{i}" for i, atom in enumerate(atoms, start=1)
     }
@@ -85,28 +92,60 @@ def emit_sql(
         f"{_quote_identifier(atom.relation)} {aliases[atom]}" for atom in atoms
     )
     where = f" WHERE {' AND '.join(predicates)}" if predicates else ""
+    return first_site, from_clause + where
 
+
+def _columns(terms: Iterable[Term], first_site: dict[Term, str]) -> str:
+    return ", ".join(
+        f"{first_site[t]} AS {_quote_identifier(render_term(t))}" for t in terms
+    )
+
+
+def emit_sql(
+    query: ConjunctiveQuery, schema: Schema, params: dict[str, str] | None = None
+) -> str:
+    """SQL text computing the query's answer (or grouped supports).
+
+    Constants are inline literals or, when ``params`` is given, parameters
+    ``:k1``, ``:k2``, ... added to ``params``, so that any value, NUL included,
+    reaches the database intact.  A grouped query also expects ``:minsup``.
+    """
+    check_against_schema(query, schema)
     symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)
-    head_cols = ", ".join(
-        f"{first_site[v]} AS {_quote_identifier(v.name)}" for v in query.head
-    )
-    if not symbols:
-        return f"SELECT DISTINCT {head_cols} FROM {from_clause}{where}"
+    if symbols:
+        return factor_sql(query.head, symbols, query.body, schema, params)
+    first_site, source = _join(query.body, schema, _binder(params))
+    return f"SELECT DISTINCT {_columns(query.head, first_site)} FROM {source}"
 
-    names = [_quote_identifier(render_term(s)) for s in symbols]
-    symbol_cols = ", ".join(
-        f"{first_site[s]} AS {name}" for s, name in zip(symbols, names)
-    )
-    inner = (
-        f"SELECT DISTINCT {symbol_cols}, {head_cols} FROM {from_clause}{where}"
-    )
-    group_cols = ", ".join(f"s.{name}" for name in names)
+
+def factor_sql(
+    head: Sequence[Variable],
+    symbols: Sequence[SymbolicConstant],
+    atoms: Iterable[Atom],
+    schema: Schema,
+    params: dict[str, str] | None,
+) -> str:
+    """SQL for one factor of a support: rows ``(*placeholder values, count)``.
+
+    ``atoms`` hold the placeholders ``symbols``, in index order.  ``count``
+    is the number of distinct projections of the atoms' join onto ``head``,
+    or, with no ``head``, 1 when the join is non-empty.  With placeholders
+    there is one row per assignment, and ``:minsup`` is expected when there
+    is a ``head``; without, there is one row whose count may be 0.  Constants
+    are bound as by ``emit_sql``.  For a whole query's head and body the text
+    is ``emit_sql``'s grouped form, or a count of its plain form.
+    """
+    first_site, source = _join(atoms, schema, _binder(params))
+    columns = _columns([*symbols, *head], first_site)
+    if not columns:
+        return f"SELECT EXISTS (SELECT 1 FROM {source})"
+    if not symbols:
+        return f"SELECT COUNT(*) FROM (SELECT DISTINCT {columns} FROM {source})"
+    if not head:
+        return f"SELECT DISTINCT {columns}, 1 FROM {source}"
+    group_cols = ", ".join(f"s.{_quote_identifier(render_term(s))}" for s in symbols)
     return (
-        f"SELECT {group_cols}, COUNT(*) AS support FROM ({inner}) s "
+        f"SELECT {group_cols}, COUNT(*) AS support "
+        f"FROM (SELECT DISTINCT {columns} FROM {source}) s "
         f"GROUP BY {group_cols} HAVING COUNT(*) >= :minsup"
     )
-
-
-def count_sql(query: ConjunctiveQuery, schema: Schema, params: dict[str, str]) -> str:
-    """The number of answers; constants are bound into ``params`` as by ``emit_sql``."""
-    return f"SELECT COUNT(*) FROM ({emit_sql(query, schema, params)})"

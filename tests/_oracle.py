@@ -77,6 +77,20 @@ def support_naive(query: ConjunctiveQuery, tables: Tables) -> int:
     return len(eval_naive(query, tables))
 
 
+def naive_grouped_counts(
+    query: ConjunctiveQuery, tables: Tables, minsup: int
+) -> dict[tuple[str, ...], int]:
+    """Support of every instantiation over the active domain, by enumeration."""
+    symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)
+    domain = sorted({value for rows in tables.values() for row in rows for value in row})
+    counts = {}
+    for values in itertools.product(domain, repeat=len(symbols)):
+        count = support_naive(instantiate(query, dict(zip(symbols, values))), tables)
+        if count >= minsup:
+            counts[values] = count
+    return counts
+
+
 def contained_no_symbolics(c1: ConjunctiveQuery, c2: ConjunctiveQuery) -> bool:
     """Classic criterion: freeze c1's variables, then evaluate c2 on the body."""
     if c1.arity != c2.arity:
@@ -210,6 +224,38 @@ def random_query(
         body_vars = [vars_pool[0]]
     head = tuple(rng.sample(body_vars, rng.randint(1, min(3, len(body_vars)))))
     return ConjunctiveQuery(head, frozenset(atoms))
+
+
+def random_disconnected_query(
+    rng: random.Random, *, parts: int = 2, max_symbolics: int = 2
+) -> ConjunctiveQuery:
+    """A body of at least ``parts`` connected components, with at most
+    ``max_symbolics`` placeholders: random queries renamed apart, under a head
+    drawn from all their variables, so some parts may have no head variable.
+    """
+    while True:
+        body: set[Atom] = set()
+        for part in range(parts):
+            query = random_query(rng, max_atoms=2)
+            renaming: dict[Term, Term] = {
+                v: Variable(f"p{part}{v.name}") for v in query.variables()
+            }
+            renaming.update(
+                (s, SymbolicConstant(2 * part + s.index))
+                for s in query.symbolic_constants()
+            )
+            body |= substitute_terms(query.body, renaming)
+        variables = sorted(
+            {t for atom in body for t in atom.args if isinstance(t, Variable)},
+            key=lambda v: v.name,
+        )
+        symbolics = {
+            t for atom in body for t in atom.args if isinstance(t, SymbolicConstant)
+        }
+        if len(symbolics) > max_symbolics:
+            continue
+        head = tuple(rng.sample(variables, rng.randint(1, min(3, len(variables)))))
+        return ConjunctiveQuery(head, frozenset(body))
 
 
 def random_instance(rng: random.Random, beer_schema: Schema, max_rows: int = 12) -> Instance:

@@ -8,6 +8,7 @@ from cqmine.errors import QueryError
 from cqmine.evaluation import evaluate, support, support_grouped
 from cqmine.queries import instantiate, parse_query
 from cqmine.relational import Instance
+from cqmine.sqlgen import emit_sql
 
 import _oracle
 
@@ -172,3 +173,116 @@ def test_head_permutation_permutes_coordinates(beer_instance):
     p = Q("Q(y, x) :- likes(x, y)")
     assert evaluate(p, beer_instance) == {(b, a) for a, b in evaluate(q, beer_instance)}
     assert support(p, beer_instance) == support(q, beer_instance)
+
+
+# ---------------------------------------------------------------------------
+# supports of disconnected bodies, counted per connected component
+# ---------------------------------------------------------------------------
+
+
+def test_disconnected_supports_match_enumeration(beer_schema, beer_instance):
+    rng = random.Random(4417)
+    plain = grouped = 0
+    for trial in range(150):
+        q = _oracle.random_disconnected_query(rng, parts=2 + trial % 2)
+        inst = (
+            beer_instance if trial % 3 == 0
+            else _oracle.random_instance(rng, beer_schema)
+        )
+        if not q.symbolic_constants():
+            assert support(q, inst) == _oracle.support_naive(q, inst.tables), str(q)
+            plain += 1
+            continue
+        for minsup in (1, 2):
+            got = support_grouped(q, inst, minsup=minsup).counts
+            assert got == _oracle.naive_grouped_counts(q, inst.tables, minsup), str(q)
+        grouped += 1
+    assert plain > 30 and grouped > 30
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a component without head variables only has to be satisfiable
+        ("Q(x) :- likes(x, y), visits(z, w)", 3),
+        ("Q(x) :- likes(x, y), visits(z, 'Nowhere')", 0),
+        ("Q(x, y) :- likes(x, y), visits(z, w), serves(w, 'Duvel')", 6),
+        # a component without variables
+        ("Q(x) :- likes(x, y), serves('Cheers', 'Duvel')", 3),
+        ("Q(x) :- likes(x, y), serves('Cheers', 'Nothing')", 0),
+        ("Q(x, z) :- likes(x, 'Duvel'), visits(z, 'Cheers')", 9),
+    ],
+)
+def test_component_shapes_plain(beer_instance, text, expected):
+    q = Q(text)
+    assert support(q, beer_instance) == expected
+    assert expected == _oracle.support_naive(q, beer_instance.tables)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # placeholders only: a component without variables
+        "Q(x) :- likes(x, y), serves($c1, $c2)",
+        "Q(x) :- likes(x, $c1), serves($c2, 'Duvel')",
+        # placeholders in a component without head variables
+        "Q(x, y) :- likes(x, y), visits(z, $c1)",
+        "Q(x, z) :- likes(x, $c1), visits(z, $c2)",
+        # constants link nothing
+        "Q(x) :- likes(x, 'Duvel'), serves($c1, 'Duvel')",
+    ],
+)
+def test_component_shapes_grouped(beer_instance, text):
+    q = Q(text)
+    for minsup in range(1, 8):
+        got = support_grouped(q, beer_instance, minsup=minsup).counts
+        assert got == _oracle.naive_grouped_counts(q, beer_instance.tables, minsup)
+
+
+def test_empty_relation_component_gives_support_zero():
+    from cqmine.relational import RelationDecl, Schema
+
+    schema = Schema((RelationDecl("r", ("a", "b")), RelationDecl("s", ("a", "b"))))
+    inst = Instance(schema, {"r": frozenset({("1", "2"), ("3", "4")}), "s": frozenset()})
+    assert support(Q("Q(x) :- r(x, y)"), inst) == 2
+    for text in ["Q(x) :- r(x, y), s(z, w)", "Q(x, z) :- r(x, y), s(z, w)"]:
+        assert support(Q(text), inst) == 0
+    for text in [
+        "Q(x) :- r(x, $c1), s(z, w)",
+        "Q(x) :- r(x, y), s($c1, $c2)",
+        "Q(x, z) :- r(x, $c1), s(z, $c2)",
+    ]:
+        assert not support_grouped(Q(text), inst)
+
+
+def test_zero_factor_ends_the_count(beer_instance):
+    statements: list[str] = []
+    beer_instance.database.set_trace_callback(statements.append)
+    try:
+        # components are counted in atom order: likes before serves and visits
+        support(
+            Q("Q(x, z) :- likes(x, 'Nothing'), serves(z, y), visits(w, y)"),
+            beer_instance,
+        )
+        support_grouped(Q("Q(x) :- likes(x, 'Nothing'), visits(w, $c1)"), beer_instance)
+    finally:
+        beer_instance.database.set_trace_callback(None)
+    assert len(statements) == 2
+    assert not any('"visits"' in sql or '"serves"' in sql for sql in statements)
+
+
+def test_connected_body_runs_the_whole_query(beer_schema, beer_instance):
+    plain = Q("Q(x) :- likes(x, y), visits(x, z), serves(z, 'Duvel')")
+    grouped = Q("Q(x) :- likes(x, $c1), visits(x, 'Cheers')")
+    statements: list[str] = []
+    beer_instance.database.set_trace_callback(statements.append)
+    try:
+        support(plain, beer_instance)
+        support_grouped(grouped, beer_instance, minsup=2)
+    finally:
+        beer_instance.database.set_trace_callback(None)
+    # the trace shows statements with their parameters bound
+    assert statements == [
+        f"SELECT COUNT(*) FROM ({emit_sql(plain, beer_schema)})",
+        emit_sql(grouped, beer_schema).replace(":minsup", "2"),
+    ]

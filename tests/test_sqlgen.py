@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import itertools
 import random
 
-from cqmine.queries import instantiate, parse_query
+from cqmine.queries import Atom, Constant, SymbolicConstant, Variable, parse_query
 from cqmine.relational import Instance, RelationDecl, Schema
-from cqmine.sqlgen import emit_sql
+from cqmine.sqlgen import emit_sql, factor_sql
 
 import _oracle
 
@@ -65,6 +64,38 @@ def test_deterministic_text(beer_schema):
     assert emit_sql(Q(q), beer_schema) == emit_sql(Q(q), beer_schema)
 
 
+def test_factor_of_a_whole_query_is_its_emitted_text(beer_schema):
+    plain = Q("Q(x, y) :- likes(x, y), serves(z, y), visits(x, 'Cheers')")
+    assert factor_sql(plain.head, [], plain.body, beer_schema, None) == (
+        f"SELECT COUNT(*) FROM ({emit_sql(plain, beer_schema)})"
+    )
+    grouped = Q("Q(x) :- likes(x, $c2), visits(x, $c1), serves($c1, 'Duvel')")
+    symbols = [SymbolicConstant(1), SymbolicConstant(2)]
+    assert factor_sql(grouped.head, symbols, grouped.body, beer_schema, None) == (
+        emit_sql(grouped, beer_schema)
+    )
+
+
+def test_factors_without_head_variables(beer_schema):
+    c1, c2 = SymbolicConstant(1), SymbolicConstant(2)
+    params = {}
+    ground = [Atom("serves", (Constant("Cheers"), Constant("Duvel")))]
+    assert factor_sql((), [], ground, beer_schema, params) == (
+        'SELECT EXISTS (SELECT 1 FROM "serves" t1 '
+        'WHERE t1."bar" = :k1 AND t1."beer" = :k2)'
+    )
+    assert params == {"k1": "Cheers", "k2": "Duvel"}
+    placeholders = [Atom("serves", (c1, c2))]
+    assert factor_sql((), [c1, c2], placeholders, beer_schema, {}) == (
+        'SELECT DISTINCT t1."bar" AS "$c1", t1."beer" AS "$c2", 1 FROM "serves" t1'
+    )
+    joined = [Atom("visits", (Variable("z"), c1)), Atom("likes", (Variable("z"), c2))]
+    assert factor_sql((), [c1, c2], joined, beer_schema, {}) == (
+        'SELECT DISTINCT t2."bar" AS "$c1", t1."beer" AS "$c2", 1 '
+        'FROM "likes" t1, "visits" t2 WHERE t2."drinker" = t1."drinker"'
+    )
+
+
 # ---------------------------------------------------------------------------
 # execution cross-checks against brute-force enumeration
 # ---------------------------------------------------------------------------
@@ -76,20 +107,6 @@ def test_plain_sql_matches_evaluate(beer_schema, beer_instance):
         q = _oracle.random_query(rng, allow_symbolics=False)
         rows = set(beer_instance.database.execute(emit_sql(q, beer_schema)))
         assert rows == _oracle.eval_naive(q, beer_instance.tables), str(q)
-
-
-def naive_grouped_counts(query, tables, minsup):
-    """Support of every instantiation over the active domain, by enumeration."""
-    symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)
-    domain = sorted({value for rows in tables.values() for row in rows for value in row})
-    counts = {}
-    for values in itertools.product(domain, repeat=len(symbols)):
-        count = _oracle.support_naive(
-            instantiate(query, dict(zip(symbols, values))), tables
-        )
-        if count >= minsup:
-            counts[values] = count
-    return counts
 
 
 def test_grouped_sql_matches_support_grouped(beer_schema, beer_instance):
@@ -106,7 +123,7 @@ def test_grouped_sql_matches_support_grouped(beer_schema, beer_instance):
         for minsup in (1, 2):
             rows = inst.database.execute(emit_sql(q, beer_schema), {"minsup": minsup})
             got = {tuple(row[:-1]): row[-1] for row in rows}
-            assert got == naive_grouped_counts(q, inst.tables, minsup), str(q)
+            assert got == _oracle.naive_grouped_counts(q, inst.tables, minsup), str(q)
         checked += 1
     assert checked > 20
 

@@ -19,7 +19,6 @@ different constants are never merged away.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from typing import Iterator, Mapping
 
 from .queries import Atom, ConjunctiveQuery, Term
@@ -62,6 +61,21 @@ def _unify(
     return out
 
 
+def _target_index(ordered: list[Atom]) -> dict[tuple[str, int], list[Atom]]:
+    """Atoms in sorted order, grouped by relation and arity."""
+    targets: dict[tuple[str, int], list[Atom]] = {}
+    for atom in ordered:
+        targets.setdefault((atom.relation, len(atom.args)), []).append(atom)
+    return targets
+
+
+def _search_order(body: frozenset[Atom], seed: Mapping[Term, Term]) -> list[Atom]:
+    """Atoms with the most arguments fixed by ``seed`` or constants first."""
+    return sorted(
+        body, key=lambda a: (-sum(1 for t in a[1] if t in seed or t[0] == "c"), a)
+    )
+
+
 def _iter_homs(
     from_body: frozenset[Atom],
     to_body: frozenset[Atom],
@@ -69,26 +83,46 @@ def _iter_homs(
     frozen_symbolics: bool,
 ) -> Iterator[dict[Term, Term]]:
     """Yield homomorphisms from ``from_body`` into ``to_body`` extending ``seed``."""
-    targets: dict[tuple[str, int], list[Atom]] = {}
-    for atom in sorted(to_body):
-        targets.setdefault((atom.relation, len(atom.args)), []).append(atom)
+    return _homs(
+        _search_order(from_body, seed),
+        _target_index(sorted(to_body)),
+        seed,
+        frozen_symbolics,
+    )
 
-    def bound_args(atom: Atom) -> int:
-        return sum(1 for t in atom[1] if t in seed or t[0] == "c")
 
-    atoms = sorted(from_body, key=lambda a: (-bound_args(a), a))
-
-    def extend(i: int, mapping: dict[Term, Term]) -> Iterator[dict[Term, Term]]:
-        if i == len(atoms):
-            yield mapping
-            return
-        atom = atoms[i]
-        for target in targets.get((atom.relation, len(atom.args)), ()):
-            extended = _unify(atom, target, mapping, frozen_symbolics)
-            if extended is not None:
-                yield from extend(i + 1, extended)
-
-    yield from extend(0, dict(seed))
+def _homs(
+    atoms: list[Atom],
+    targets: dict[tuple[str, int], list[Atom]],
+    seed: Mapping[Term, Term],
+    frozen_symbolics: bool,
+) -> Iterator[dict[Term, Term]]:
+    """Yield homomorphisms sending ``atoms``, in order, into ``targets``."""
+    if not atoms:
+        yield dict(seed)
+        return
+    options = [targets.get((atom.relation, len(atom.args)), ()) for atom in atoms]
+    last = len(atoms) - 1
+    # depth-first on explicit stacks: mappings[i] is the mapping before atom
+    # i, and cursors[i] the next target tried for it
+    mappings = [dict(seed)]
+    cursors = [0]
+    while cursors:
+        i = len(cursors) - 1
+        k = cursors[i]
+        if k == len(options[i]):
+            cursors.pop()
+            mappings.pop()
+            continue
+        cursors[i] = k + 1
+        extended = _unify(atoms[i], options[i][k], mappings[i], frozen_symbolics)
+        if extended is None:
+            continue
+        if i == last:
+            yield extended
+        else:
+            mappings.append(extended)
+            cursors.append(0)
 
 
 def find_containment_mapping(
@@ -154,22 +188,20 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """
     body = query.body
     head_seed: dict[Term, Term] = {v: v for v in query.head}
-    changed = True
-    while changed and len(body) > 1:
-        changed = False
-        relation_counts = Counter(atom.relation for atom in body)
-        candidates = [
-            atom for atom in body if relation_counts[atom.relation] > 1
-        ]
-        for atom in sorted(candidates):
-            reduced = body - {atom}
-            for _ in _iter_homs(body, reduced, head_seed, frozen_symbolics=True):
-                body = reduced
-                changed = True
+    while len(body) > 1:
+        ordered = sorted(body)
+        targets = _target_index(ordered)
+        atoms = _search_order(body, head_seed)
+        for atom in ordered:
+            key = (atom.relation, len(atom.args))
+            if len(targets[key]) < 2:
+                continue
+            reduced = {**targets, key: [t for t in targets[key] if t != atom]}
+            if next(_homs(atoms, reduced, head_seed, True), None) is not None:
+                body = body - {atom}
                 break
-            if changed:
-                break
+        else:
+            break
     if body is query.body:
         return query
     return ConjunctiveQuery(query.head, body)
-

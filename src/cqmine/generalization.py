@@ -67,7 +67,7 @@ def inverse_substitutions(
     holders = sorted(atom for atom in query.body if target in atom.args)
     if not holders:
         return
-    others = [atom for atom in query.body if target not in atom.args]
+    others = frozenset(atom for atom in query.body if target not in atom.args)
     budget = max_atoms - len(others)
     if budget < len(holders):
         return
@@ -91,40 +91,48 @@ def inverse_substitutions(
         variant_lists.append(variants)
         full_masks.append(sum(1 << index for index in positions))
 
-    def expand(index: int, chosen: list[Atom], remaining: int, tied: bool):
-        # ``tied``: the masks chosen so far equal their mirror image, so the
-        # next holder decides which of the two splits is yielded
-        if index == len(variant_lists):
-            if not any(fresh in atom.args for atom in chosen):
-                return  # nothing moved: identical to the original body
-            atoms = frozenset(others) | frozenset(chosen)
-            if target_is_variable and not any(
-                target in atom.args for atom in atoms
-            ):
-                return  # pure renaming, or a head variable would vanish
-            yield ConjunctiveQuery(query.head, atoms)
-            return
-        pending_holders = len(variant_lists) - index - 1
-        widest = remaining - pending_holders
-        full = full_masks[index]
-        for count in range(1, widest + 1):
-            for subset in itertools.combinations(variant_lists[index], count):
-                still_tied = False
-                if tied:
-                    masks = sorted(mask for mask, _ in subset)
-                    mirror = sorted(full ^ mask for mask, _ in subset)
-                    if mirror > masks:
-                        continue  # the mirror image is yielded instead
-                    still_tied = mirror == masks
-                yield from expand(
-                    index + 1,
-                    chosen + [atom for _, atom in subset],
-                    remaining - count,
-                    still_tied,
-                )
-
+    # depth-first on an explicit stack of frames (holder index, atoms chosen
+    # so far, atom budget left, tied, subsets still to try for this holder);
+    # ``tied``: the masks chosen so far equal their mirror image, so this
+    # holder decides which of the two splits is yielded
+    last = len(variant_lists) - 1
     skip_mirrors = target_is_variable and target not in query.head
-    yield from expand(0, [], budget, skip_mirrors)
+    frames = [(0, [], budget, skip_mirrors, _subsets(variant_lists[0], budget - last))]
+    while frames:
+        index, chosen, remaining, tied, subsets = frames[-1]
+        subset = next(subsets, None)
+        if subset is None:
+            frames.pop()
+            continue
+        still_tied = False
+        if tied:
+            masks = sorted(mask for mask, _ in subset)
+            mirror = sorted(full_masks[index] ^ mask for mask, _ in subset)
+            if mirror > masks:
+                continue  # the mirror image is yielded instead
+            still_tied = mirror == masks
+        picked = chosen + [atom for _, atom in subset]
+        left = remaining - len(subset)
+        if index < last:
+            nxt = index + 1
+            widest = left - (last - nxt)  # leave one atom for each later holder
+            frames.append(
+                (nxt, picked, left, still_tied, _subsets(variant_lists[nxt], widest))
+            )
+            continue
+        if not any(fresh in atom.args for atom in picked):
+            continue  # nothing moved: identical to the original body
+        atoms = others | frozenset(picked)
+        if target_is_variable and not any(target in atom.args for atom in atoms):
+            continue  # pure renaming, or a head variable would vanish
+        yield ConjunctiveQuery(query.head, atoms)
+
+
+def _subsets(variants: list, widest: int) -> Iterator[tuple]:
+    """Non-empty subsets of ``variants`` with at most ``widest`` members, by size."""
+    return itertools.chain.from_iterable(
+        itertools.combinations(variants, count) for count in range(1, widest + 1)
+    )
 
 
 def splits(query: ConjunctiveQuery, max_atoms: int) -> Iterator[ConjunctiveQuery]:

@@ -1,6 +1,9 @@
 """The head-preserving generalization steps shared by both phases."""
 
-from cqmine.generalization import inverse_substitutions
+import gc
+
+from cqmine.containment import is_diagonally_contained, minimize
+from cqmine.generalization import inverse_substitutions, splits
 from cqmine.queries import Variable, canonical_form, parse_query
 
 
@@ -27,3 +30,23 @@ def test_lone_occurrence_splits_only_by_duplicating_its_atom(beer_schema):
     (step,) = inverse_substitutions(query, Variable("x1"), 2)
     duplicated = parse_query("Q(x1) :- likes(x1, x2), likes(x3, x2)", beer_schema)
     assert canonical_form(step)[0] == canonical_form(duplicated)[0]
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a generator closure that calls itself leaves a function <-> cell
+    # reference cycle behind every call, which only the cyclic collector frees
+    redundant = parse_query(
+        "Q(x) :- likes(x, y), likes(x, z), likes(w, y), visits(x, 'Cheers')"
+    )
+    joined = parse_query("Q(x) :- likes(x, y), likes(y, x), visits(x, y)")
+    gc.collect()
+    gc.disable()
+    try:
+        reduced = minimize.__wrapped__(redundant)
+        found = list(splits(joined, 4))
+        assert is_diagonally_contained(reduced, redundant)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(reduced.body) < len(redundant.body)
+    assert found

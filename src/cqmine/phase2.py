@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .containment import minimize
 from .errors import ConfigError
@@ -256,5 +257,7 @@ def run_phase2(
             text, consequent, consequent_support, state, instance, config, memo, table
         )
     ]
-    rules.sort(key=lambda rule: (-rule.confidence, rule.antecedent, rule.consequent))
+    # two stable sorts, so no tuple key compares ``Fraction``s for equality
+    rules.sort(key=attrgetter("antecedent", "consequent"))
+    rules.sort(key=attrgetter("confidence"), reverse=True)
     return rules

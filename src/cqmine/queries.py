@@ -364,7 +364,10 @@ def _least_form(
     the atoms whose rendering ties for the least text.  That is exact: a
     complete atom rendering is never a proper prefix of another, so a
     rendering that is not least at some position loses there, whatever
-    follows.
+    follows.  ``atoms`` come sorted, so the atoms of the least remaining
+    relation lead the rest, and only they are rendered: ``(`` sorts below
+    every identifier character, so ``like(`` < ``likes(``, and the least
+    rendering always has the least relation.
 
     With ``lazy_head`` head variables draw the least still-unused head name
     at their first body occurrence instead of being named by position.  The
@@ -393,7 +396,10 @@ def _least_form(
                 best, best_naming = text, naming
             continue
         least = None
+        relation = remaining[0][0]
         for i, atom in enumerate(remaining):
+            if atom[0] != relation:
+                break
             rendered, added, counts = _atom_text(atom, naming, fresh, head_names)
             if least is None or rendered < least:
                 least, ties = rendered, [(i, added, counts)]
@@ -426,7 +432,7 @@ def canonical_form(
     variables renamed x1, x2, ... and symbolic constants $c1, $c2, ... by
     first occurrence.  Isomorphic queries share one form.
     """
-    atoms = tuple(query.body)
+    atoms = tuple(sorted(query.body))
     text, naming = _least_form(
         query.head, atoms, lazy_head=modulo_head_permutation
     )

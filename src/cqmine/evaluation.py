@@ -20,6 +20,8 @@ of the component's placeholders.  A zero factor ends the count.
 
 from __future__ import annotations
 
+import itertools
+import math
 import sqlite3
 from dataclasses import dataclass
 
@@ -138,7 +140,7 @@ def support_grouped(
 
     Assignments with support below ``minsup`` are omitted.  A single
     component is counted with the threshold in SQL; several are counted
-    without one, and their products are filtered.
+    without one, and the products of their counts are filtered.
     """
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
     if not symbols:
@@ -156,22 +158,11 @@ def support_grouped(
             return GroupedSupport(symbols, {})
         order.extend(component[1])
         factors.append(counts)
-    # the most each remaining factor can still contribute, to cut partial
-    # assignments that can no longer reach ``minsup``
-    ceilings = [1]
-    for counts in reversed(factors):
-        ceilings.append(ceilings[-1] * max(counts.values()))
-    ceilings.reverse()
-    combined: list[tuple[tuple[str, ...], int]] = [((), 1)]
-    for counts, ceiling in zip(factors, ceilings[1:]):
-        combined = [
-            (values + more, count * factor)
-            for values, count in combined
-            for more, factor in counts.items()
-            if count * factor * ceiling >= minsup
-        ]
     positions = [order.index(symbol) for symbol in symbols]
-    return GroupedSupport(
-        symbols,
-        {tuple(values[i] for i in positions): count for values, count in combined},
-    )
+    counts = {}
+    for parts in itertools.product(*(factor.items() for factor in factors)):
+        count = math.prod(factor for _, factor in parts)
+        if count >= minsup:
+            values = [value for part, _ in parts for value in part]
+            counts[tuple(values[i] for i in positions)] = count
+    return GroupedSupport(symbols, counts)

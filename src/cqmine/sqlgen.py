@@ -15,7 +15,7 @@ can be.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .queries import (
     Atom,
@@ -47,8 +47,16 @@ def table_sql(decl: RelationDecl) -> tuple[str, str]:
     return f"CREATE TABLE {table} ({columns})", f"INSERT INTO {table} VALUES ({marks})"
 
 
-def _binder(params: dict[str, str] | None) -> Callable[[Constant], str]:
-    """Render a constant inline, or bind it as the next ``:k<n>`` parameter."""
+def _join(
+    atoms: Iterable[Atom], schema: Schema, params: dict[str, str] | None
+) -> tuple[dict[Term, str], str]:
+    """The join of ``atoms``: each term's first column, and the text after FROM.
+
+    Atoms are aliased ``t1, t2, ...`` in text order; a repeated variable or
+    placeholder and every constant become equality predicates.  Constants
+    are inline literals or, when ``params`` is given, parameters ``:k1``,
+    ``:k2``, ... added to ``params``.
+    """
 
     def literal(constant: Constant) -> str:
         if params is None:
@@ -57,17 +65,6 @@ def _binder(params: dict[str, str] | None) -> Callable[[Constant], str]:
         params[name] = constant.value
         return f":{name}"
 
-    return literal
-
-
-def _join(
-    atoms: Iterable[Atom], schema: Schema, literal: Callable[[Constant], str]
-) -> tuple[dict[Term, str], str]:
-    """The join of ``atoms``: each term's first column, and the text after FROM.
-
-    Atoms are aliased ``t1, t2, ...`` in text order; a repeated variable or
-    placeholder and every constant become equality predicates.
-    """
     atoms = sorted(atoms, key=str)
     aliases: dict[Atom, str] = {
         atom: f"t{i}" for i, atom in enumerate(atoms, start=1)
@@ -114,7 +111,7 @@ def emit_sql(
     symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)
     if symbols:
         return factor_sql(query.head, symbols, query.body, schema, params)
-    first_site, source = _join(query.body, schema, _binder(params))
+    first_site, source = _join(query.body, schema, params)
     return f"SELECT DISTINCT {_columns(query.head, first_site)} FROM {source}"
 
 
@@ -135,7 +132,7 @@ def factor_sql(
     are bound as by ``emit_sql``.  For a whole query's head and body the text
     is ``emit_sql``'s grouped form, or a count of its plain form.
     """
-    first_site, source = _join(atoms, schema, _binder(params))
+    first_site, source = _join(atoms, schema, params)
     columns = _columns([*symbols, *head], first_site)
     if not columns:
         return f"SELECT EXISTS (SELECT 1 FROM {source})"

@@ -195,18 +195,17 @@ def specializations(
     over fresh variables, joining two variables into one, selecting a
     non-head variable to a symbolic constant, and projecting away a head
     position.  Results are keyed and represented by ``class_of``;
-    refinements back in the input's own class are dropped.
+    refinements back in the input's own class are dropped.  The input body
+    has at most ``max_atoms`` atoms, and so has every refinement: extension
+    runs only below that budget, and minimization never adds an atom.
     """
     self_key, base = class_of(query, config)
     results: dict[str, ConjunctiveQuery] = {}
 
     def add(candidate: ConjunctiveQuery) -> None:
         key, reduced = class_of(candidate, config)
-        if key == self_key:
-            return
-        if len(reduced.body) > config.max_atoms:
-            return
-        results.setdefault(key, reduced)
+        if key != self_key:
+            results.setdefault(key, reduced)
 
     biased = config.key_atom is not None
     head_set = set(base.head)

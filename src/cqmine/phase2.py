@@ -25,9 +25,12 @@ abandoned without losing any confident rule.
 Consequents share most of the forms their walks pass through.  One step
 table per ``run_phase2`` call maps a form's canonical raw text to its
 generalization steps, each already canonicalized and minimized, so a form
-is expanded once per run however many walks reach it.  What stays per
-consequent is what depends on it: the visited forms, the reported classes
-and the confidence cut-off.
+is expanded once per run however many walks reach it.  One support table
+per call maps a minimized query's canonical text, head order kept, to its
+support.  It starts with every consequent's count from phase 1, and an
+antecedent it lacks is counted once and added.  What stays per consequent
+is what depends on it: the visited forms, the reported classes and the
+confidence cut-off.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .containment import minimize
 from .errors import ConfigError
 from .evaluation import support
 from .generalization import atom_removals, splits
-from .phase1 import MinerState, class_of
+from .phase1 import MinerState
 from .queries import ConjunctiveQuery, canonical_form, instantiate
 from .relational import Instance
 
@@ -136,34 +139,6 @@ def _consequent_queries(state: MinerState) -> dict[str, tuple[ConjunctiveQuery, 
     return consequents
 
 
-def _support_of(
-    query: ConjunctiveQuery,
-    plain_key: str,
-    state: MinerState,
-    instance: Instance,
-    memo: dict[str, int],
-) -> int:
-    """Antecedent support, from the frequent index when possible.
-
-    Constant-free antecedents of a frequent consequent are themselves
-    frequent and in the mined language, so the index usually answers
-    directly; antecedents carrying constants (and antecedents outside an
-    anchored language) are evaluated once and memoized.
-    """
-    cached = memo.get(plain_key)
-    if cached is not None:
-        return cached
-    value: int | None = None
-    if not query.constants() and not query.symbolic_constants():
-        record = state.frequent_index.get(class_of(query, state.config)[0])
-        if record is not None and record.frequent_constants is None:
-            value = record.support
-    if value is None:
-        value = support(query, instance)
-    memo[plain_key] = value
-    return value
-
-
 _Step = tuple[str, ConjunctiveQuery, str, ConjunctiveQuery]
 
 
@@ -194,17 +169,20 @@ def _rules_for_consequent(
     base_text: str,
     base: ConjunctiveQuery,
     consequent_support: int,
-    state: MinerState,
+    max_atoms: int,
     instance: Instance,
     config: RuleConfig,
-    memo: dict[str, int],
+    supports: dict[str, int],
     table: dict[str, list[_Step]],
 ) -> list[AssociationRule]:
     text = base_text + "."
-    max_atoms = state.config.max_atoms
     rules: list[AssociationRule] = []
     if config.include_trivial:
         rules.append(AssociationRule(text, text, consequent_support, Fraction(1)))
+    # confidence ``consequent_support / antecedent_support`` falls below
+    # ``minconf`` exactly when ``cut < numerator * antecedent_support``
+    numerator = config.minconf.numerator
+    cut = consequent_support * config.minconf.denominator
     visited = {base_text}
     emitted = {base_text}
     frontier = [(base_text, base)]
@@ -217,14 +195,15 @@ def _rules_for_consequent(
                 if raw_text in visited:
                     continue
                 visited.add(raw_text)
-                antecedent_support = _support_of(
-                    antecedent, antecedent_text, state, instance, memo
-                )
-                confidence = Fraction(consequent_support, antecedent_support)
-                if confidence < config.minconf:
+                antecedent_support = supports.get(antecedent_text)
+                if antecedent_support is None:
+                    antecedent_support = support(antecedent, instance)
+                    supports[antecedent_text] = antecedent_support
+                if cut < numerator * antecedent_support:
                     continue  # every further generalization is even less confident
                 if antecedent_text not in emitted:
                     emitted.add(antecedent_text)
+                    confidence = Fraction(consequent_support, antecedent_support)
                     rules.append(
                         AssociationRule(
                             antecedent_text + ".", text, consequent_support, confidence
@@ -244,17 +223,20 @@ def run_phase2(
 
     Each frequent query (with placeholders instantiated) is taken in turn as
     a consequent, and its antecedents are explored from most to least
-    confident, sharing one antecedent-support memo and one step table.  The
-    result is sorted by descending confidence, then antecedent and consequent
-    text (with the trailing period, as printed).
+    confident, sharing one support table, seeded with the consequents'
+    supports, and one step table.  The result is sorted by descending
+    confidence, then antecedent and consequent text (with the trailing
+    period, as printed).
     """
-    memo: dict[str, int] = {}
+    consequents = _consequent_queries(state)
+    supports = {text: count for text, (_, count) in consequents.items()}
     table: dict[str, list[_Step]] = {}
+    max_atoms = state.config.max_atoms
     rules = [
         rule
-        for text, (consequent, consequent_support) in _consequent_queries(state).items()
+        for text, (consequent, count) in consequents.items()
         for rule in _rules_for_consequent(
-            text, consequent, consequent_support, state, instance, config, memo, table
+            text, consequent, count, max_atoms, instance, config, supports, table
         )
     ]
     # two stable sorts, so no tuple key compares ``Fraction``s for equality

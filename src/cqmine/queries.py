@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Union
 
@@ -85,43 +84,41 @@ class Atom(tuple):
         return f"{self[0]}({', '.join(map(render_term, self[1]))})"
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class ConjunctiveQuery:
+class ConjunctiveQuery(tuple):
     """``Q(head) :- body`` with a non-empty body and a safe, non-empty head.
 
-    Head entries must be distinct variables, each of which occurs in the body.
+    The query is the tuple ``(head, body)``, so hashing and equality run in
+    C.  Head entries must be distinct variables, each of which occurs in
+    the body.
     """
 
-    head: tuple[Variable, ...]
-    body: frozenset[Atom]
-    _hash: int = field(init=False, repr=False)
+    __slots__ = ()
+    head = property(itemgetter(0))
+    body = property(itemgetter(1))
 
-    def __post_init__(self) -> None:
-        if not self.head:
+    def __new__(
+        cls, head: tuple[Variable, ...], body: frozenset[Atom]
+    ) -> ConjunctiveQuery:
+        if not head:
             raise QueryError("query head must list at least one variable")
-        for term in self.head:
+        for term in head:
             if not isinstance(term, Variable):
                 raise QueryError(f"head term {render_term(term)} is not a variable")
-        if len(set(self.head)) != len(self.head):
+        if len(set(head)) != len(head):
             raise QueryError("head variables must be distinct")
-        if not self.body:
+        if not body:
             raise QueryError("query body must contain at least one atom")
-        body_vars = {t for atom in self.body for t in atom.args if isinstance(t, Variable)}
-        for var in self.head:
+        body_vars = {t for atom in body for t in atom.args if isinstance(t, Variable)}
+        for var in head:
             if var not in body_vars:
                 raise QueryError(f"head variable {var.name} does not occur in the body")
-        object.__setattr__(self, "_hash", hash((self.head, self.body)))
+        return tuple.__new__(cls, (head, body))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ConjunctiveQuery)
-            and self._hash == other._hash
-            and self.head == other.head
-            and self.body == other.body
-        )
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __repr__(self) -> str:
+        return f"ConjunctiveQuery(head={self[0]!r}, body={self[1]!r})"
 
     @property
     def arity(self) -> int:

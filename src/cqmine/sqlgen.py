@@ -55,12 +55,13 @@ def _join(
     Atoms are aliased ``t1, t2, ...`` in text order; a repeated variable or
     placeholder and every constant become equality predicates.  Constants
     are inline literals or, when ``params`` is given, parameters ``:k1``,
-    ``:k2``, ... added to ``params``.
+    ``:k2``, ... added to ``params``.  sqlite3 rejects statement text that
+    holds a NUL, so an inline literal splices each one in as ``char(0)``.
     """
 
     def literal(constant: Constant) -> str:
         if params is None:
-            return render_term(constant)
+            return render_term(constant).replace("\0", "' || char(0) || '")
         name = f"k{len(params) + 1}"
         params[name] = constant.value
         return f":{name}"
@@ -103,9 +104,9 @@ def emit_sql(
 ) -> str:
     """SQL text computing the query's answer (or grouped supports).
 
-    Constants are inline literals or, when ``params`` is given, parameters
-    ``:k1``, ``:k2``, ... added to ``params``, so that any value, NUL included,
-    reaches the database intact.  A grouped query also expects ``:minsup``.
+    Constants are inline literals, with each NUL spliced in as ``char(0)``,
+    or, when ``params`` is given, parameters ``:k1``, ``:k2``, ... added to
+    ``params``.  A grouped query also expects ``:minsup``.
     """
     check_against_schema(query, schema)
     symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)

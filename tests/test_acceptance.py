@@ -14,6 +14,7 @@ subsets) and counts answers by brute-force valuation enumeration.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -26,6 +27,7 @@ import pytest
 
 import _oracle
 import conftest
+import cqmine
 from cqmine.containment import (
     is_contained,
     is_diagonally_contained,
@@ -47,6 +49,8 @@ from cqmine.queries import (
 from cqmine.relational import Instance, Schema
 
 FIXTURES = Path(__file__).parent / "fixtures" / "beer"
+# child processes import the package this suite imported, installed or not
+ENV = {**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])}
 
 
 @contextmanager
@@ -552,6 +556,7 @@ def test_09_mine_runs_byte_identical(tmp_path):
                 ],
                 capture_output=True,
                 text=True,
+                env=ENV,
             )
             assert proc.returncode == 0, proc.stderr
             out_dirs.append(out_dir)

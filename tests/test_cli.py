@@ -13,10 +13,13 @@ import pytest
 import cqmine
 from cqmine import cli
 from cqmine.cli import main
+from cqmine.relational import load_instance, load_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
 BEER = FIXTURES / "beer"
 SCHEMA = str(BEER / "schema.txt")
+# child processes import the package this suite imported, installed or not
+ENV = {**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])}
 
 
 def run_cli(*argv):
@@ -24,6 +27,7 @@ def run_cli(*argv):
         [sys.executable, "-m", "cqmine", *argv],
         capture_output=True,
         text=True,
+        env=ENV,
     )
 
 
@@ -120,7 +124,7 @@ def test_report_bytes_are_pinned(extra, tmp_path):
         ],
         capture_output=True,
         cwd=BEER,
-        env={**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])},
+        env=ENV,
     )
     assert result.returncode == 0, result.stderr
     digests = tuple(
@@ -159,7 +163,7 @@ def test_three_atom_report_bytes_are_pinned(extra, tmp_path):
         ],
         capture_output=True,
         cwd=BEER,
-        env={**os.environ, "PYTHONPATH": str(Path(cqmine.__file__).parents[1])},
+        env=ENV,
     )
     assert result.returncode == 0, result.stderr
     digests = tuple(
@@ -177,6 +181,7 @@ def test_structured_stdout_equals_run_json(mine_out):
             "--format", "structured",
         ],
         capture_output=True,
+        env=ENV,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == (mine_out / "run.json").read_bytes()
@@ -337,6 +342,7 @@ def test_closed_pipe_exits_141_without_traceback():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=ENV,
     )
     assert process.stdout.readline().startswith("# frequent queries: ")
     process.stdout.close()
@@ -441,7 +447,7 @@ def test_contain_wide_heads_finish():
     )
     result = subprocess.run(
         [sys.executable, "-m", "cqmine", "contain", anchored, wide],
-        capture_output=True, text=True, timeout=30,
+        capture_output=True, text=True, timeout=30, env=ENV,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "incomparable"
@@ -507,6 +513,20 @@ def test_eval_keyword_names(keyword_data, capsys):
 def test_eval_value_with_nul(keyword_data, capsys):
     assert _eval(keyword_data, "Q(x) :- order(x, y), order('a\0b', y).") == 0
     assert capsys.readouterr().out == "a\0b\nc\nd\nsupport\t3\n"
+
+
+def test_sql_inline_literal_with_nul_runs(keyword_data, capsys):
+    # the printed text holds no NUL, and sqlite3 answers it as eval does
+    query = "Q(x) :- order(x, y), order('a\0b', y)."
+    schema = str(keyword_data / "schema.txt")
+    assert main(["sql", "--schema", schema, query]) == 0
+    sql = capsys.readouterr().out
+    assert "\0" not in sql
+    assert _eval(keyword_data, query) == 0
+    answers = capsys.readouterr().out.splitlines()[:-1]  # the last is the support
+    instance = load_instance(load_schema(schema), keyword_data)
+    rows = sorted(row[0] for row in instance.database.execute(sql))
+    assert rows == answers == ["a\0b", "c", "d"]
 
 
 def test_eval_keeps_leading_zeros_apart(keyword_data, capsys):

@@ -14,7 +14,7 @@ from cqmine.evaluation import support
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import MinerConfig, parse_key_atom, run_phase1
 from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
-from cqmine.queries import canonical_form, parse_query, render_query
+from cqmine.queries import canonical_form, instantiate, parse_query, render_query
 
 
 def ordered_key(query):
@@ -321,6 +321,34 @@ def test_each_form_is_expanded_once_per_run(
     assert rules == rules_half
     assert expanded
     assert len(expanded) == len(set(expanded))
+
+
+def test_supports_held_from_phase_one_are_not_counted_again(
+    maxtwo_state, beer_instance, rules_half, monkeypatch
+):
+    # every consequent's support is known from phase 1, and an antecedent
+    # is counted at most once per run, however many walks reach it
+    consequents = set()
+    for record in maxtwo_state.frequent_records():
+        grouped = record.frequent_constants
+        if grouped is None:
+            consequents.add(ordered_key(record.query))
+            continue
+        for assignment in grouped.counts:
+            mapping = dict(zip(grouped.symbols, assignment))
+            consequents.add(ordered_key(instantiate(record.query, mapping)))
+    counted = []
+
+    def recording_support(query, instance):
+        counted.append(ordered_key(query))
+        return support(query, instance)
+
+    monkeypatch.setattr(cqmine.phase2, "support", recording_support)
+    rules = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1, 2)))
+    assert rules == rules_half
+    assert counted
+    assert not consequents & set(counted)
+    assert len(counted) == len(set(counted))
 
 
 def test_no_rules_without_frequent_queries(beer_instance):

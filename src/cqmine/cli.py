@@ -32,7 +32,7 @@ from .evaluation import evaluate, support_grouped
 from .phase1 import MinerConfig, parse_key_atom, run_phase1
 from .phase2 import RuleConfig, run_phase2
 from .queries import parse_query, render_term
-from .relational import load_instance, load_schema
+from .relational import Schema, load_instance, load_schema
 from .reports import dump_json, frequent_report_lines, rule_report_lines, run_dump
 from .sqlgen import emit_sql
 
@@ -49,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class RunManifest:
-    """Validated description of one command-line run."""
+    """Validated description of one mine run; the caller loads its schema."""
 
     schema_path: Path
     data_dir: Path
@@ -59,8 +59,6 @@ class RunManifest:
     format: str = "text"
 
     def __post_init__(self) -> None:
-        if not self.schema_path.is_file():
-            raise ConfigError(f"schema file not found: {self.schema_path}")
         if not self.data_dir.is_dir():
             raise ConfigError(f"data directory not found: {self.data_dir}")
         if self.format not in ("text", "structured"):
@@ -96,14 +94,13 @@ def _parameters(manifest: RunManifest) -> dict:
     }
 
 
-def cmd_mine(manifest: RunManifest) -> int:
+def cmd_mine(manifest: RunManifest, schema: Schema) -> int:
     """Run phase 1 and phase 2 and emit all three reports."""
-    schema = load_schema(manifest.schema_path)
     instance = load_instance(schema, manifest.data_dir)
     state = run_phase1(instance, manifest.miner)
     rules = run_phase2(state, instance, manifest.rules)
-
     payload = run_dump(state, rules, _parameters(manifest))
+    del state, rules  # the run's memos go before any report is written
 
     out_dir = manifest.out_dir
     if out_dir is not None:
@@ -135,13 +132,13 @@ def cmd_mine(manifest: RunManifest) -> int:
     return 0
 
 
-def cmd_eval(query_text: str, manifest: RunManifest) -> int:
+def cmd_eval(query_text: str, schema_path: Path, data_dir: Path, minsup: int) -> int:
     """Print a query's answers and support, grouped when placeholders occur."""
-    schema = load_schema(manifest.schema_path)
-    instance = load_instance(schema, manifest.data_dir)
+    schema = load_schema(schema_path)
+    instance = load_instance(schema, data_dir)
     query = parse_query(query_text, schema)
     if query.symbolic_constants():
-        grouped = support_grouped(query, instance, manifest.miner.minsup)
+        grouped = support_grouped(query, instance, minsup)
         print("\t".join([*(render_term(s) for s in grouped.symbols), "support"]))
         for values, count in grouped.sorted_items():
             print("\t".join([*values, str(count)]))
@@ -238,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_for_mine(args: argparse.Namespace) -> RunManifest:
+def _manifest_for_mine(args: argparse.Namespace, schema: Schema) -> RunManifest:
     key_atom = None
     if args.key_atom:
-        key_atom = parse_key_atom(args.key_atom, load_schema(args.schema))
+        key_atom = parse_key_atom(args.key_atom, schema)
     miner = MinerConfig(
         minsup=args.minsup,
         max_atoms=args.max_atoms,
@@ -265,17 +262,12 @@ def _manifest_for_mine(args: argparse.Namespace) -> RunManifest:
 
 
 def _handle_mine(args: argparse.Namespace) -> int:
-    return cmd_mine(_manifest_for_mine(args))
+    schema = load_schema(args.schema)
+    return cmd_mine(_manifest_for_mine(args, schema), schema)
 
 
 def _handle_eval(args: argparse.Namespace) -> int:
-    manifest = RunManifest(
-        schema_path=Path(args.schema),
-        data_dir=Path(args.data),
-        miner=MinerConfig(minsup=max(args.minsup, 1)),
-        rules=RuleConfig("1"),
-    )
-    return cmd_eval(args.query, manifest)
+    return cmd_eval(args.query, Path(args.schema), Path(args.data), max(args.minsup, 1))
 
 
 def _handle_contain(args: argparse.Namespace) -> int:

@@ -18,7 +18,6 @@ different constants are never merged away.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterator, Mapping
 
 from .queries import Atom, ConjunctiveQuery, Term
@@ -174,7 +173,6 @@ def is_diagonally_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
 def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     """Remove redundant body atoms until none can be dropped.
 

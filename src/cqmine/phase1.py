@@ -19,10 +19,11 @@ order is kept.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
@@ -119,13 +120,25 @@ class Level:
 
 @dataclass(slots=True)
 class MinerState:
-    """Everything accumulated by a phase-1 run."""
+    """Everything accumulated by a mining run, and the run's memos.
+
+    Phase 1, phase 2 and the reports share the ``canonical_form`` and
+    ``minimize`` memos; ``parents`` holds the generalization keys of each
+    class ``admission`` walked in full.  All live as long as the state.
+    """
 
     config: MinerConfig
     schema: Schema
     levels: list[Level] = field(default_factory=list)
     frequent_index: dict[str, QueryRecord] = field(default_factory=dict)
     infrequent_index: set[str] = field(default_factory=set)
+    parents: dict[str, list[str]] = field(default_factory=dict)
+    canonical_form: Callable = field(init=False, repr=False, compare=False)
+    minimize: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.canonical_form = functools.lru_cache(maxsize=None)(canonical_form)
+        self.minimize = functools.lru_cache(maxsize=None)(minimize)
 
     def frequent_records(self) -> list[QueryRecord]:
         return [
@@ -135,7 +148,7 @@ class MinerState:
         ]
 
 
-def initial_candidates(schema: Schema, config: MinerConfig) -> list[ConjunctiveQuery]:
+def initial_candidates(state: MinerState) -> list[ConjunctiveQuery]:
     """The most general queries of the language, one per equivalence class.
 
     Without a key atom these are the queries whose body is a multiset of
@@ -147,9 +160,10 @@ def initial_candidates(schema: Schema, config: MinerConfig) -> list[ConjunctiveQ
     language is anchored instead: the single seed is the key atom with its
     variables as head.
     """
+    schema, config = state.schema, state.config
     if config.key_atom is not None:
         seed = ConjunctiveQuery(config.key_atom.args, frozenset([config.key_atom]))
-        return [class_of(seed, config)[1]]
+        return [class_of(seed, state)[1]]
     results: dict[str, ConjunctiveQuery] = {}
     names = sorted(schema.names())
     for combo in itertools.combinations_with_replacement(names, config.max_atoms):
@@ -160,7 +174,7 @@ def initial_candidates(schema: Schema, config: MinerConfig) -> list[ConjunctiveQ
             args = tuple(Variable(f"v{next(counter)}") for _ in range(arity))
             atoms.append(Atom(name, args))
         head = tuple(term for atom in atoms for term in atom.args)
-        key, query = class_of(ConjunctiveQuery(head, frozenset(atoms)), config)
+        key, query = class_of(ConjunctiveQuery(head, frozenset(atoms)), state)
         results.setdefault(key, query)
     return [results[key] for key in sorted(results)]
 
@@ -169,9 +183,7 @@ def _used_names(query: ConjunctiveQuery) -> set[str]:
     return {variable.name for variable in query.variables()}
 
 
-def class_of(
-    query: ConjunctiveQuery, config: MinerConfig
-) -> tuple[str, ConjunctiveQuery]:
+def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, ConjunctiveQuery]:
     """The key of a query's class and the class representative.
 
     The query is minimized and then canonically renamed.  Queries with equal
@@ -179,15 +191,15 @@ def class_of(
     equal keys.  Without a key atom the key also absorbs head reordering.
     With one, every query of the language carries the anchor's variables as
     its head, so the head order is kept and representatives list the
-    anchor's arguments in order.
+    anchor's arguments in order.  Both steps go through the state's memos.
     """
-    return canonical_form(
-        minimize(query), modulo_head_permutation=config.key_atom is None
+    return state.canonical_form(
+        state.minimize(query), modulo_head_permutation=state.config.key_atom is None
     )
 
 
 def specializations(
-    query: ConjunctiveQuery, schema: Schema, config: MinerConfig
+    query: ConjunctiveQuery, state: MinerState
 ) -> dict[str, ConjunctiveQuery]:
     """All immediate refinements of a query's class, keyed by class, in key order.
 
@@ -199,11 +211,12 @@ def specializations(
     has at most ``max_atoms`` atoms, and so has every refinement: extension
     runs only below that budget, and minimization never adds an atom.
     """
-    self_key, base = class_of(query, config)
+    schema, config = state.schema, state.config
+    self_key, base = class_of(query, state)
     results: dict[str, ConjunctiveQuery] = {}
 
     def add(candidate: ConjunctiveQuery) -> None:
-        key, reduced = class_of(candidate, config)
+        key, reduced = class_of(candidate, state)
         if key != self_key:
             results.setdefault(key, reduced)
 
@@ -273,7 +286,7 @@ def specializations(
 
 
 def immediate_generalizations(
-    representative: ConjunctiveQuery, config: MinerConfig
+    representative: ConjunctiveQuery, state: MinerState
 ) -> Iterator[tuple[str, ConjunctiveQuery]]:
     """Yield the strictly more general classes one inverse operation away.
 
@@ -295,9 +308,8 @@ def immediate_generalizations(
     which need a containment check.  Keys may repeat.
     """
     head, body = representative.head, representative.body
-    anchor_relation = (
-        config.key_atom.relation if config.key_atom is not None else None
-    )
+    key_atom = state.config.key_atom
+    anchor_relation = key_atom.relation if key_atom is not None else None
 
     def in_language(candidate: ConjunctiveQuery) -> bool:
         # invariant under equivalence, so checked on the raw candidate before
@@ -317,7 +329,7 @@ def immediate_generalizations(
     # maps onto the whole and the result is strictly more general.
     for candidate in atom_removals(representative):
         if in_language(candidate):
-            yield class_of(candidate, config)
+            yield class_of(candidate, state)
 
     # Symbolic constants re-open wholesale: strict, since no homomorphism can
     # reintroduce the vanished symbol.
@@ -325,21 +337,21 @@ def immediate_generalizations(
     for symbol in sorted(representative.symbolic_constants()):
         candidate = ConjunctiveQuery(head, substitute_terms(body, {symbol: fresh}))
         if in_language(candidate):
-            yield class_of(candidate, config)
+            yield class_of(candidate, state)
 
     # Inverse projection: put an existing non-head variable into the head.
     # The wider head can never be covered back, so the result is strict.
-    if config.key_atom is None:
+    if key_atom is None:
         unexported = representative.variables() - set(head)
         for variable in sorted(unexported):
-            yield class_of(ConjunctiveQuery(head + (variable,), body), config)
+            yield class_of(ConjunctiveQuery(head + (variable,), body), state)
 
     # A split can collapse back into the input's class, so strictness is checked.
     for candidate in splits(representative, len(body)):
         if in_language(candidate) and not is_diagonally_contained(
             candidate, representative
         ):
-            yield class_of(candidate, config)
+            yield class_of(candidate, state)
 
 
 ADMIT = "admit"
@@ -347,12 +359,7 @@ PRUNE = "prune"
 DEFER = "defer"
 
 
-def admission(
-    key: str,
-    representative: ConjunctiveQuery,
-    state: MinerState,
-    parents: dict[str, list[str]],
-) -> str:
+def admission(key: str, representative: ConjunctiveQuery, state: MinerState) -> str:
     """What the search does with one pooled candidate of class ``key``.
 
     ``representative`` is the pooled class representative, as ``class_of``
@@ -363,21 +370,20 @@ def admission(
     specialization, so in the second case the class is recorded infrequent.
     ``DEFER``: some generalization is not classified yet, so the candidate
     waits for a later iteration.  The generalizations are walked lazily and
-    the walk stops at the first infrequent one; ``parents`` memoizes each
-    fully walked class's generalization keys across calls.
+    the walk stops at the first infrequent one; ``state.parents`` memoizes
+    each fully walked class's generalization keys across calls.
     """
     if key in state.frequent_index or key in state.infrequent_index:
         return PRUNE
-    parent_keys = parents.get(key)
+    parent_keys = state.parents.get(key)
     if parent_keys is None:
         parent_keys = []
-        generalizations = immediate_generalizations(representative, state.config)
-        for parent, _ in generalizations:
+        for parent, _ in immediate_generalizations(representative, state):
             parent_keys.append(parent)
             if parent in state.infrequent_index:
                 break
         else:
-            parents[key] = parent_keys
+            state.parents[key] = parent_keys
     if any(parent in state.infrequent_index for parent in parent_keys):
         state.infrequent_index.add(key)
         return PRUNE
@@ -410,11 +416,10 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
     iteration admits nothing.
     """
     state = MinerState(config=config, schema=instance.schema)
-    parents: dict[str, list[str]] = {}
 
     pending: dict[str, ConjunctiveQuery] = {}
-    for query in initial_candidates(instance.schema, config):
-        pending[class_of(query, config)[0]] = query
+    for query in initial_candidates(state):
+        pending[class_of(query, state)[0]] = query
 
     level_number = 0
     while True:
@@ -423,7 +428,7 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
         still_pending: dict[str, ConjunctiveQuery] = {}
         for key in sorted(pending):
             query = pending[key]
-            verdict = admission(key, query, state, parents)
+            verdict = admission(key, query, state)
             if verdict == ADMIT:
                 admitted.append((key, query))
             elif verdict == DEFER:
@@ -446,7 +451,7 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
                 frequent_constants=grouped,
             )
             frequent_keys.append(key)
-            children = specializations(query, instance.schema, config)
+            children = specializations(query, state)
             for child_key, child in children.items():
                 if (
                     child_key not in state.frequent_index

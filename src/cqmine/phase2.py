@@ -40,12 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .containment import minimize
 from .errors import ConfigError
 from .evaluation import support
 from .generalization import atom_removals, splits
 from .phase1 import MinerState
-from .queries import ConjunctiveQuery, canonical_form, instantiate
+from .queries import ConjunctiveQuery, instantiate
 from .relational import Instance
 
 __all__ = [
@@ -129,12 +128,12 @@ def _consequent_queries(state: MinerState) -> dict[str, tuple[ConjunctiveQuery, 
     for record in state.frequent_records():
         grouped = record.frequent_constants
         if grouped is None:
-            text, representative = canonical_form(record.query)
+            text, representative = state.canonical_form(record.query)
             consequents.setdefault(text, (representative, record.support))
             continue
         for assignment, count in grouped.sorted_items():
             query = instantiate(record.query, dict(zip(grouped.symbols, assignment)))
-            text, representative = canonical_form(minimize(query))
+            text, representative = state.canonical_form(state.minimize(query))
             consequents.setdefault(text, (representative, count))
     return consequents
 
@@ -146,18 +145,21 @@ def _steps_of(
     form_text: str,
     form: ConjunctiveQuery,
     table: dict[str, list[_Step]],
-    max_atoms: int,
+    state: MinerState,
 ) -> list[_Step]:
     """The walk steps from ``form``, generated once per run and then shared.
 
     Each step is ``(raw_text, raw_form, antecedent_text, antecedent)``: the
     generalized body, canonically renamed but not minimized, and its
     minimized class, in generation order (atom removals, then splits).
-    ``form`` is a canonical rendering, so ``form_text`` determines it.
+    ``form`` is a canonical rendering, so ``form_text`` determines it.  Both
+    renderings go through the state's memos, which also serve other walks.
     """
     steps = table.get(form_text)
     if steps is None:
+        canonical_form, minimize = state.canonical_form, state.minimize
         steps = []
+        max_atoms = state.config.max_atoms
         for raw in itertools.chain(atom_removals(form), splits(form, max_atoms)):
             raw_text, raw_form = canonical_form(raw)
             steps.append((raw_text, raw_form, *canonical_form(minimize(raw_form))))
@@ -169,7 +171,7 @@ def _rules_for_consequent(
     base_text: str,
     base: ConjunctiveQuery,
     consequent_support: int,
-    max_atoms: int,
+    state: MinerState,
     instance: Instance,
     config: RuleConfig,
     supports: dict[str, int],
@@ -190,7 +192,7 @@ def _rules_for_consequent(
         next_frontier: list[tuple[str, ConjunctiveQuery]] = []
         for form_text, form in frontier:
             for raw_text, raw_form, antecedent_text, antecedent in _steps_of(
-                form_text, form, table, max_atoms
+                form_text, form, table, state
             ):
                 if raw_text in visited:
                     continue
@@ -231,12 +233,11 @@ def run_phase2(
     consequents = _consequent_queries(state)
     supports = {text: count for text, (_, count) in consequents.items()}
     table: dict[str, list[_Step]] = {}
-    max_atoms = state.config.max_atoms
     rules = [
         rule
         for text, (consequent, count) in consequents.items()
         for rule in _rules_for_consequent(
-            text, consequent, count, max_atoms, instance, config, supports, table
+            text, consequent, count, state, instance, config, supports, table
         )
     ]
     # two stable sorts, so no tuple key compares ``Fraction``s for equality

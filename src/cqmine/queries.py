@@ -418,7 +418,6 @@ def _term_for_name(name: str) -> Term:
     return Variable(name)
 
 
-@functools.lru_cache(maxsize=None)
 def canonical_form(
     query: ConjunctiveQuery, *, modulo_head_permutation: bool = False
 ) -> tuple[str, ConjunctiveQuery]:

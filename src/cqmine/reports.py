@@ -13,7 +13,7 @@ from typing import Any, TextIO
 
 from .phase1 import MinerState, QueryRecord
 from .phase2 import AssociationRule
-from .queries import instantiate, render_query
+from .queries import instantiate
 
 __all__ = [
     "frequent_report_lines",
@@ -53,9 +53,11 @@ def rule_report_lines(dump: dict[str, Any]) -> list[str]:
     ]
 
 
-def _record_entry(record: QueryRecord) -> dict[str, Any]:
+def _record_entry(state: MinerState, record: QueryRecord) -> dict[str, Any]:
+    # ``render_query`` through the run's memo, which phase 2 has mostly filled
+    canonical_form = state.canonical_form
     entry: dict[str, Any] = {
-        "query": render_query(record.query),
+        "query": canonical_form(record.query)[0] + ".",
         "support": record.support,
         "level": record.level,
         "constants": None,
@@ -68,9 +70,9 @@ def _record_entry(record: QueryRecord) -> dict[str, Any]:
                 {
                     "values": list(values),
                     "count": count,
-                    "query": render_query(
+                    "query": canonical_form(
                         instantiate(record.query, dict(zip(grouped.symbols, values)))
-                    ),
+                    )[0] + ".",
                 }
                 for values, count in grouped.sorted_items()
             ],
@@ -94,7 +96,9 @@ def run_dump(
             }
             for level in state.levels
         ],
-        "frequent": [_record_entry(record) for record in state.frequent_records()],
+        "frequent": [
+            _record_entry(state, record) for record in state.frequent_records()
+        ],
         "rules": [
             {
                 "antecedent": rule.antecedent,

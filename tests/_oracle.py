@@ -3,21 +3,22 @@
 Everything here is deliberately naive and independent of the library's own
 algorithms: evaluation enumerates rows atom by atom, and containment is
 decided by instantiating symbolic constants over small constant pools and
-checking the classic frozen-body criterion.  The last section holds small
-helpers that only tests need.
+checking the classic frozen-body criterion.  The search language itself is
+enumerated outright.  The last section holds small helpers that only tests
+need.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import random
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from cqmine.errors import DataError
 from cqmine.phase1 import (
-    MinerConfig,
     MinerState,
     class_of,
     immediate_generalizations,
@@ -89,6 +90,72 @@ def naive_grouped_counts(
         if count >= minsup:
             counts[values] = count
     return counts
+
+
+def set_partitions(count: int):
+    """All restricted-growth labelings of ``count`` positions."""
+
+    def rec(prefix: list[int], highest: int):
+        if len(prefix) == count:
+            yield tuple(prefix)
+            return
+        for value in range(highest + 2):
+            yield from rec(prefix + [value], max(highest, value))
+
+    if count == 0:
+        yield ()
+    else:
+        yield from rec([0], 0)
+
+
+def language_queries(schema: Schema, instance: Instance, max_atoms: int):
+    """Every query of the search language up to ``max_atoms`` body atoms.
+
+    Bodies are multisets of relations, variables follow every set-partition
+    pattern, constants range over each column's active domain, and heads
+    are all nonempty variable subsets.  Equivalent queries repeat.
+    """
+    names = list(schema.names())
+    for size in range(1, max_atoms + 1):
+        for combo in itertools.combinations_with_replacement(names, size):
+            slots = [
+                (name, column)
+                for name in combo
+                for column in range(schema.relation(name).arity)
+            ]
+            domains = [
+                sorted(active_domain(instance, name, column))
+                for name, column in slots
+            ]
+            total = len(slots)
+            for constant_mask in itertools.product([False, True], repeat=total):
+                variable_slots = [i for i in range(total) if not constant_mask[i]]
+                if not variable_slots:
+                    continue
+                constant_slots = [i for i in range(total) if constant_mask[i]]
+                for values in itertools.product(
+                    *(domains[i] for i in constant_slots)
+                ):
+                    terms: list = [None] * total
+                    for index, value in zip(constant_slots, values):
+                        terms[index] = Constant(value)
+                    for labels in set_partitions(len(variable_slots)):
+                        for index, label in zip(variable_slots, labels):
+                            terms[index] = Variable(f"v{label + 1}")
+                        atoms = []
+                        offset = 0
+                        for name in combo:
+                            arity = schema.relation(name).arity
+                            atoms.append(Atom(name, tuple(terms[offset : offset + arity])))
+                            offset += arity
+                        body = frozenset(atoms)
+                        used = sorted(
+                            {t for t in terms if isinstance(t, Variable)},
+                            key=lambda v: v.name,
+                        )
+                        for count in range(1, len(used) + 1):
+                            for head in itertools.combinations(used, count):
+                                yield ConjunctiveQuery(tuple(head), body)
 
 
 def contained_no_symbolics(c1: ConjunctiveQuery, c2: ConjunctiveQuery) -> bool:
@@ -285,7 +352,7 @@ def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> Conjunc
 
 
 def generalization_classes(
-    query: ConjunctiveQuery, config: MinerConfig
+    query: ConjunctiveQuery, state: MinerState
 ) -> dict[str, ConjunctiveQuery]:
     """Every immediate generalization class of any query, keyed and in key order.
 
@@ -293,7 +360,7 @@ def generalization_classes(
     reduced to its class representative, then every parent is collected.
     """
     found: dict[str, ConjunctiveQuery] = {}
-    for key, parent in immediate_generalizations(class_of(query, config)[1], config):
+    for key, parent in immediate_generalizations(class_of(query, state)[1], state):
         found.setdefault(key, parent)
     return {key: found[key] for key in sorted(found)}
 
@@ -304,6 +371,26 @@ def candidate_keys(state: MinerState) -> set[str]:
     for level in state.levels:
         seen.update(level.candidate_keys)
     return seen
+
+
+def frequent_supports(
+    state: MinerState, class_key: Callable[[ConjunctiveQuery], str]
+) -> dict[str, int]:
+    """Class key -> support of every frequent discovery of a run.
+
+    A discovery with placeholders stands for one class per frequent
+    assignment, keyed and counted on its own.
+    """
+    supports: dict[str, int] = {}
+    for record in state.frequent_records():
+        grouped = record.frequent_constants
+        if grouped is None:
+            supports[class_key(record.query)] = record.support
+            continue
+        for values, count in grouped.sorted_items():
+            plugged = instantiate(record.query, dict(zip(grouped.symbols, values)))
+            supports[class_key(plugged)] = count
+    return supports
 
 
 def active_domain(instance: Instance, relation: str, column: int) -> frozenset[str]:
@@ -327,10 +414,12 @@ def write_instance(instance: Instance, data_dir: str | Path) -> None:
                 writer.writerow(row)
 
 
+@functools.lru_cache(maxsize=None)
 def rule_queries(rule: AssociationRule) -> tuple[ConjunctiveQuery, ConjunctiveQuery]:
     """A rule's antecedent and consequent, parsed back from their texts.
 
-    Each text must be the rendering of the query it parses to.
+    Each text must be the rendering of the query it parses to.  Many tests
+    read the same rules, so each rule is parsed and checked once.
     """
     queries = parse_query(rule.antecedent), parse_query(rule.consequent)
     for text, query in zip((rule.antecedent, rule.consequent), queries):

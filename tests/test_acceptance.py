@@ -13,7 +13,6 @@ subsets) and counts answers by brute-force valuation enumeration.
 
 from __future__ import annotations
 
-import itertools
 import os
 import random
 import subprocess
@@ -35,18 +34,23 @@ from cqmine.containment import (
     minimize,
 )
 from cqmine.evaluation import evaluate, support
-from cqmine.phase1 import MinerConfig, class_of, initial_candidates, run_phase1
+from cqmine.phase1 import (
+    MinerConfig,
+    MinerState,
+    class_of,
+    initial_candidates,
+    run_phase1,
+)
 from cqmine.phase2 import RuleConfig, run_phase2
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
     Constant,
     Variable,
-    instantiate,
     parse_query,
     render_query,
 )
-from cqmine.relational import Instance, Schema
+from cqmine.relational import Instance, RelationDecl, Schema
 
 FIXTURES = Path(__file__).parent / "fixtures" / "beer"
 # child processes import the package this suite imported, installed or not
@@ -68,8 +72,9 @@ def _report(line: str) -> None:
     conftest.ACCEPTANCE_LINES.append(line)
 
 
-# the mined language has no key atom, so class keys absorb head order
-LANGUAGE = MinerConfig(minsup=2, max_atoms=2)
+# the mined language has no key atom, so class keys absorb head order; class
+# keys take no schema, so an empty one serves
+LANGUAGE = MinerState(MinerConfig(minsup=2, max_atoms=2), Schema(()))
 
 
 def class_key(query: ConjunctiveQuery) -> str:
@@ -91,7 +96,9 @@ def state2(beer_instance):
 
 def test_01_first_level_cross_products(beer_schema, beer_instance):
     with criterion(1, "six initial two-atom candidates, each with support 36"):
-        queries = initial_candidates(beer_schema, MinerConfig(minsup=2, max_atoms=2))
+        queries = initial_candidates(
+            MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
+        )
         assert len(queries) == 6
         expected = {
             key_of("Q(x1,x2,x3,x4) :- likes(x1,x2), likes(x3,x4)"),
@@ -118,9 +125,9 @@ def test_02_second_level_pruning(state2, beer_schema):
         "level 2 admits exactly the 18 single projections; same-relation "
         "joins surface at level 3 and mixed joins are deferred, not lost",
     ):
-        config = MinerConfig(minsup=2, max_atoms=2)
+        state = MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
         projections = set()
-        for query in initial_candidates(beer_schema, config):
+        for query in initial_candidates(state):
             for position in range(query.arity):
                 head = query.head[:position] + query.head[position + 1 :]
                 projections.add(class_key(ConjunctiveQuery(head, query.body)))
@@ -225,72 +232,12 @@ def test_04_full_confidence_rule(state2, beer_instance):
 # independent oracle: enumerate the whole two-atom search language
 
 
-def _set_partitions(count: int):
-    """All restricted-growth labelings of ``count`` positions."""
-
-    def rec(prefix: list[int], highest: int):
-        if len(prefix) == count:
-            yield tuple(prefix)
-            return
-        for value in range(highest + 2):
-            yield from rec(prefix + [value], max(highest, value))
-
-    if count == 0:
-        yield ()
-    else:
-        yield from rec([0], 0)
-
-
-def _language_queries(schema: Schema, instance: Instance, max_atoms: int):
-    names = list(schema.names())
-    for size in range(1, max_atoms + 1):
-        for combo in itertools.combinations_with_replacement(names, size):
-            slots = [
-                (name, column)
-                for name in combo
-                for column in range(schema.relation(name).arity)
-            ]
-            domains = [
-                sorted(_oracle.active_domain(instance, name, column))
-                for name, column in slots
-            ]
-            total = len(slots)
-            for constant_mask in itertools.product([False, True], repeat=total):
-                variable_slots = [i for i in range(total) if not constant_mask[i]]
-                if not variable_slots:
-                    continue
-                constant_slots = [i for i in range(total) if constant_mask[i]]
-                for values in itertools.product(
-                    *(domains[i] for i in constant_slots)
-                ):
-                    terms: list = [None] * total
-                    for index, value in zip(constant_slots, values):
-                        terms[index] = Constant(value)
-                    for labels in _set_partitions(len(variable_slots)):
-                        for index, label in zip(variable_slots, labels):
-                            terms[index] = Variable(f"v{label + 1}")
-                        atoms = []
-                        offset = 0
-                        for name in combo:
-                            arity = schema.relation(name).arity
-                            atoms.append(Atom(name, tuple(terms[offset : offset + arity])))
-                            offset += arity
-                        body = frozenset(atoms)
-                        used = sorted(
-                            {t for t in terms if isinstance(t, Variable)},
-                            key=lambda v: v.name,
-                        )
-                        for count in range(1, len(used) + 1):
-                            for head in itertools.combinations(used, count):
-                                yield ConjunctiveQuery(tuple(head), body)
-
-
 @pytest.fixture(scope="module")
 def oracle_classes(beer_schema, beer_instance):
     """Mod-head-permutation class key -> (representative, brute-force support)."""
     tables = dict(beer_instance.tables)
     classes: dict[str, tuple[ConjunctiveQuery, int]] = {}
-    for query in _language_queries(beer_schema, beer_instance, max_atoms=2):
+    for query in _oracle.language_queries(beer_schema, beer_instance, max_atoms=2):
         key = class_key(query)
         if key not in classes:
             classes[key] = (query, _oracle.support_naive(query, tables))
@@ -307,20 +254,33 @@ def test_05_phase_one_matches_oracle(oracle_classes, state2):
         "frequent classes equal the brute-force enumeration of the whole "
         "language (1339 classes, supports included)",
     ):
-        miner: dict[str, int] = {}
-        for record in state2.frequent_records():
-            grouped = record.frequent_constants
-            if grouped is None:
-                miner[class_key(record.query)] = record.support
-            else:
-                for values, count in grouped.sorted_items():
-                    plugged = instantiate(
-                        record.query, dict(zip(grouped.symbols, values))
-                    )
-                    miner[class_key(plugged)] = count
+        miner = _oracle.frequent_supports(state2, class_key)
         oracle = {key: sup for key, (_, sup) in oracle_classes.items()}
         assert miner == oracle
         assert len(oracle) == 1339
+
+
+def test_phase_one_matches_oracle_at_three_atoms():
+    # criterion 5 covers two atoms over the beer data; here the whole
+    # three-atom language of one binary relation, constants included
+    schema = Schema((RelationDecl("r", ("a", "b")),))
+    instance = Instance(schema, {"r": {("p", "q"), ("q", "p"), ("p", "p")}})
+    config = MinerConfig(minsup=2, max_atoms=3)
+    # the oracle keys classes through a state of its own, not the run's
+    oracle_state = MinerState(config, schema)
+
+    def key(query: ConjunctiveQuery) -> str:
+        return class_of(query, oracle_state)[0]
+
+    tables = dict(instance.tables)
+    supports: dict[str, int] = {}
+    for query in _oracle.language_queries(schema, instance, max_atoms=3):
+        query_key = key(query)
+        if query_key not in supports:
+            supports[query_key] = _oracle.support_naive(query, tables)
+    oracle = {query_key: sup for query_key, sup in supports.items() if sup >= 2}
+    assert _oracle.frequent_supports(run_phase1(instance, config), key) == oracle
+    assert (len(supports), len(oracle)) == (1971, 1505)
 
 
 # ---------------------------------------------------------------------------

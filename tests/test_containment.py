@@ -9,7 +9,7 @@ from cqmine.containment import (
     is_equivalent,
     minimize,
 )
-from cqmine.phase1 import MinerConfig, class_of
+from cqmine.phase1 import MinerConfig, MinerState, class_of
 from cqmine.queries import (
     Atom,
     Constant,
@@ -19,21 +19,24 @@ from cqmine.queries import (
     render_term,
     substitute_terms,
 )
+from cqmine.relational import Schema
 
 import _oracle
 
 Q = parse_query
 
 # ``class_of`` absorbs head order without a key atom and keeps it with one;
-# it does not require the query to contain the anchor.
-UNORDERED = MinerConfig(minsup=1)
-ORDERED = MinerConfig(
-    minsup=1, key_atom=Atom("likes", (Variable("k1"), Variable("k2")))
+# it does not require the query to contain the anchor.  Class keys take no
+# schema, so an empty one serves.
+UNORDERED = MinerState(MinerConfig(minsup=1), Schema(()))
+ORDERED = MinerState(
+    MinerConfig(minsup=1, key_atom=Atom("likes", (Variable("k1"), Variable("k2")))),
+    Schema(()),
 )
 
 
-def key(query, config=UNORDERED):
-    return class_of(query, config)[0]
+def key(query, state=UNORDERED):
+    return class_of(query, state)[0]
 
 
 def same_up_to_head_order(q1, q2):
@@ -192,8 +195,8 @@ def test_minimize_equivalent_to_input():
 def test_canonical_key_identifies_equivalent_queries():
     a = Q("Q(x) :- likes(x, y)")
     b = Q("Q(u) :- likes(u, v), likes(u, w)")
-    for config in (UNORDERED, ORDERED):
-        assert key(a, config) == key(b, config)
+    for state in (UNORDERED, ORDERED):
+        assert key(a, state) == key(b, state)
 
 
 def test_canonical_key_modulo_head_permutation():
@@ -206,18 +209,18 @@ def test_canonical_key_modulo_head_permutation():
 def test_canonical_key_separates_placeholder_counts():
     one = Q("Q(x) :- likes(x, $c1)")
     two = Q("Q(x) :- likes(x, $c1), likes(x, $c2)")
-    for config in (UNORDERED, ORDERED):
-        assert key(one, config) != key(two, config)
+    for state in (UNORDERED, ORDERED):
+        assert key(one, state) != key(two, state)
 
 
 def test_canonicalize_round_trip():
     rng = random.Random(902)
     for _ in range(100):
         q = _oracle.random_query(rng, max_atoms=4)
-        for config in (UNORDERED, ORDERED):
-            k, c = class_of(q, config)
-            assert key(c, config) == k
-            assert class_of(c, config)[1] == c
+        for state in (UNORDERED, ORDERED):
+            k, c = class_of(q, state)
+            assert key(c, state) == k
+            assert class_of(c, state)[1] == c
         assert is_equivalent(class_of(q, ORDERED)[1], q)
         assert same_up_to_head_order(class_of(q, UNORDERED)[1], q)
 

@@ -42,7 +42,7 @@ def test_searches_leave_no_cyclic_garbage():
     gc.collect()
     gc.disable()
     try:
-        reduced = minimize.__wrapped__(redundant)
+        reduced = minimize(redundant)
         found = list(splits(joined, 4))
         assert is_diagonally_contained(reduced, redundant)
         assert gc.collect() == 0

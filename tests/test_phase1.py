@@ -25,7 +25,8 @@ from cqmine.relational import RelationDecl, Schema
 from _oracle import candidate_keys, generalization_classes
 
 
-UNORDERED = MinerConfig(minsup=1)
+# class keys take no schema, so an empty one serves
+UNORDERED = MinerState(MinerConfig(minsup=1), Schema(()))
 
 
 def key_of(text, schema=None):
@@ -37,7 +38,7 @@ def keys(queries):
 
 
 def state_key(state, query):
-    return class_of(query, state.config)[0]
+    return class_of(query, state)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,9 @@ def test_parse_key_atom_rejects_malformed(beer_schema):
 
 
 def test_initial_candidates_two_atoms(beer_schema, beer_instance):
-    queries = initial_candidates(beer_schema, MinerConfig(minsup=2, max_atoms=2))
+    queries = initial_candidates(
+        MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
+    )
     assert len(queries) == 6
     for query in queries:
         assert len(query.body) == 2
@@ -108,14 +111,15 @@ def test_initial_candidates_two_atoms(beer_schema, beer_instance):
 
 
 def test_initial_candidates_counts_by_max_atoms(beer_schema):
-    assert len(initial_candidates(beer_schema, MinerConfig(minsup=1, max_atoms=1))) == 3
-    assert len(initial_candidates(beer_schema, MinerConfig(minsup=1, max_atoms=3))) == 10
+    for max_atoms, count in [(1, 3), (3, 10)]:
+        config = MinerConfig(minsup=1, max_atoms=max_atoms)
+        assert len(initial_candidates(MinerState(config, beer_schema))) == count
 
 
 def test_initial_candidates_key_atom(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
     queries = initial_candidates(
-        beer_schema, MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
+        MinerState(MinerConfig(minsup=2, max_atoms=2, key_atom=atom), beer_schema)
     )
     assert [render_query(q) for q in queries] == ["Q(x1, x2) :- likes(x1, x2)."]
 
@@ -127,7 +131,7 @@ def test_initial_candidates_key_atom(beer_schema):
 def test_specializations_of_double_likes(beer_schema):
     base = parse_query("Q(x1,x2,x3,x4) :- likes(x1,x2), likes(x3,x4)", beer_schema)
     results = specializations(
-        base, beer_schema, MinerConfig(minsup=2, max_atoms=2)
+        base, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     got = keys(results)
     # joins: shared first column, shared second column, a chain, a self-loop
@@ -146,7 +150,7 @@ def test_specializations_of_double_likes(beer_schema):
 def test_specializations_mixed_pair_has_mixed_join(beer_schema):
     base = parse_query("Q(x1,x2,x3,x4) :- likes(x1,x2), visits(x3,x4)", beer_schema)
     results = specializations(
-        base, beer_schema, MinerConfig(minsup=2, max_atoms=2)
+        base, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     got = keys(results)
     assert key_of("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)") in got
@@ -157,8 +161,8 @@ def test_specializations_single_application_results(beer_schema):
     base = parse_query(
         "Q(x,y) :- likes(x,y), visits(x,z), serves(z,u)", beer_schema
     )
-    config = MinerConfig(minsup=2, max_atoms=4)
-    got = keys(specializations(base, beer_schema, config).values())
+    state = MinerState(MinerConfig(minsup=2, max_atoms=4), beer_schema)
+    got = keys(specializations(base, state).values())
     # join u into y
     assert (
         key_of("Q(x,y) :- likes(x,y), visits(x,z), serves(z,y)", beer_schema) in got
@@ -180,8 +184,8 @@ def test_specializations_single_application_results(beer_schema):
 
 def test_specializations_extension_adds_other_relations(beer_schema):
     base = parse_query("Q(x) :- likes(x,y)", beer_schema)
-    config = MinerConfig(minsup=2, max_atoms=2)
-    got = keys(specializations(base, beer_schema, config).values())
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
+    got = keys(specializations(base, state).values())
     assert key_of("Q(x) :- likes(x,y), serves(u,v)", beer_schema) in got
     assert key_of("Q(x) :- likes(x,y), visits(u,v)", beer_schema) in got
     # extending with another likes atom is redundant and collapses back
@@ -191,37 +195,37 @@ def test_specializations_extension_adds_other_relations(beer_schema):
 
 
 def test_specializations_never_return_own_class(beer_schema):
-    config = MinerConfig(minsup=2, max_atoms=3)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=3), beer_schema)
     for text in [
         "Q(x1,x2) :- likes(x1,x2)",
         "Q(x1) :- likes(x1,$c1)",
         "Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)",
     ]:
         base = parse_query(text, beer_schema)
-        base_key = class_of(base, config)[0]
-        results = specializations(base, beer_schema, config).values()
+        base_key = class_of(base, state)[0]
+        results = specializations(base, state).values()
         assert base_key not in keys(results)
 
 
 def test_specializations_respect_atom_cap(beer_schema):
     base = parse_query("Q(x) :- likes(x,y), visits(x,z)", beer_schema)
-    config = MinerConfig(minsup=2, max_atoms=2)
-    for result in specializations(base, beer_schema, config).values():
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
+    for result in specializations(base, state).values():
         assert len(result.body) <= 2
 
 
 def test_specializations_without_constants(beer_schema):
     base = parse_query("Q(x) :- likes(x,y)", beer_schema)
     config = MinerConfig(minsup=2, max_atoms=2, enable_constants=False)
-    for result in specializations(base, beer_schema, config).values():
+    for result in specializations(base, MinerState(config, beer_schema)).values():
         assert not result.symbolic_constants()
 
 
 def test_specializations_key_atom_keeps_head(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
-    config = MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2, key_atom=atom), beer_schema)
     base = parse_query("Q(x1,x2) :- likes(x1,x2), serves(x3,x4)", beer_schema)
-    results = specializations(base, beer_schema, config).values()
+    results = specializations(base, state).values()
     assert results
     for result in results:
         assert result.arity == 2
@@ -229,7 +233,7 @@ def test_specializations_key_atom_keeps_head(beer_schema):
 
 
 def test_class_keys_are_state_keys(beer_schema):
-    config = MinerConfig(minsup=2, max_atoms=3)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=3), beer_schema)
     checked = 0
     for text in [
         "Q(x,y) :- likes(x,y), visits(x,z), serves(z,u)",
@@ -238,12 +242,12 @@ def test_class_keys_are_state_keys(beer_schema):
     ]:
         query = parse_query(text, beer_schema)
         for found in (
-            specializations(query, beer_schema, config),
-            generalization_classes(query, config),
+            specializations(query, state),
+            generalization_classes(query, state),
         ):
             assert list(found) == sorted(found)
             for key, representative in found.items():
-                assert key == class_of(representative, config)[0]
+                assert key == class_of(representative, state)[0]
                 checked += 1
     assert checked > 20
 
@@ -253,15 +257,15 @@ def test_class_keys_are_state_keys(beer_schema):
 
 
 def test_most_general_queries_have_no_generalizations(beer_schema):
-    config = MinerConfig(minsup=2, max_atoms=2)
-    for query in initial_candidates(beer_schema, config):
-        assert list(generalization_classes(query, config).values()) == []
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
+    for query in initial_candidates(state):
+        assert list(generalization_classes(query, state).values()) == []
 
 
 def test_generalizations_of_shared_drinker_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)", beer_schema)
     results = generalization_classes(
-        query, MinerConfig(minsup=2, max_atoms=2)
+        query, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     # splitting the shared drinker un-exports one of them, leaving the class
     # that exports one full row plus the other atom's beer column
@@ -271,7 +275,7 @@ def test_generalizations_of_shared_drinker_join(beer_schema):
 def test_generalizations_of_mixed_join(beer_schema):
     query = parse_query("Q(x1,x2,x3) :- likes(x1,x2), visits(x1,x3)", beer_schema)
     results = generalization_classes(
-        query, MinerConfig(minsup=2, max_atoms=2)
+        query, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     got = keys(results)
     assert key_of("Q(x1,x2,x4) :- likes(x1,x2), visits(x3,x4)") in got
@@ -282,7 +286,7 @@ def test_generalizations_of_mixed_join(beer_schema):
 def test_generalizations_reopen_symbolic_constant(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,$c1)", beer_schema)
     results = generalization_classes(
-        query, MinerConfig(minsup=2, max_atoms=2)
+        query, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     assert keys(results) == {key_of("Q(x1) :- likes(x1,x2)")}
 
@@ -290,29 +294,29 @@ def test_generalizations_reopen_symbolic_constant(beer_schema):
 def test_generalizations_restore_head_variable(beer_schema):
     query = parse_query("Q(x1) :- likes(x1,x2)", beer_schema)
     results = generalization_classes(
-        query, MinerConfig(minsup=2, max_atoms=2)
+        query, MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     ).values()
     assert keys(results) == {key_of("Q(x1,x2) :- likes(x1,x2)")}
 
 
 def test_generalizations_are_strict(beer_schema):
-    config = MinerConfig(minsup=2, max_atoms=3)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=3), beer_schema)
     for text in [
         "Q(x1,x2,x3) :- likes(x1,x2), likes(x1,x3)",
         "Q(x1) :- likes(x1,x2), visits(x1,x3)",
         "Q(x1) :- likes(x1,$c1), visits(x1,x2)",
     ]:
         query = parse_query(text, beer_schema)
-        for parent in generalization_classes(query, config).values():
+        for parent in generalization_classes(query, state).values():
             assert is_diagonally_contained(query, parent)
             assert not is_diagonally_contained(parent, query)
 
 
 def test_generalizations_key_atom_stay_in_language(beer_schema):
     atom = parse_key_atom("likes(_, _)", beer_schema)
-    config = MinerConfig(minsup=2, max_atoms=2, key_atom=atom)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2, key_atom=atom), beer_schema)
     query = parse_query("Q(x1,x2) :- likes(x1,x2), visits(x1,x3)", beer_schema)
-    results = generalization_classes(query, config).values()
+    results = generalization_classes(query, state).values()
     got = keys(results)
     # splitting the shared drinker on the visits side stays anchored
     assert key_of("Q(x1,x2) :- likes(x1,x2), visits(x4,x3)") in got
@@ -327,8 +331,10 @@ def test_generalizations_key_atom_stay_in_language(beer_schema):
 
 
 def verdict_for(query, state):
-    key, representative = class_of(query, state.config)
-    return admission(key, representative, state, {})
+    # each verdict walks the generalizations afresh
+    state.parents.clear()
+    key, representative = class_of(query, state)
+    return admission(key, representative, state)
 
 
 def test_prune_drops_already_seen_classes(beer_instance):
@@ -381,13 +387,12 @@ def test_prune_stops_at_first_infrequent_parent(beer_schema, monkeypatch):
     removal = key_of("Q(x1) :- likes(x1,x2)")
     state.infrequent_index.add(removal)
     key, representative = class_of(
-        parse_query("Q(x1) :- likes(x1,x2), visits(x1,x3)"), config
+        parse_query("Q(x1) :- likes(x1,x2), visits(x1,x3)"), state
     )
-    parents = {}
-    assert admission(key, representative, state, parents) == PRUNE
+    assert admission(key, representative, state) == PRUNE
     assert key in state.infrequent_index
     # a walk cut short leaves no memo behind
-    assert parents == {}
+    assert state.parents == {}
 
 
 # ---------------------------------------------------------------------------
@@ -412,13 +417,13 @@ def test_run_level_one_is_all_cross_products(beer_run):
 
 
 def test_run_level_two_is_single_projections(beer_run, beer_schema):
-    config = MinerConfig(minsup=2, max_atoms=2)
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2), beer_schema)
     expected = set()
-    for query in initial_candidates(beer_schema, config):
+    for query in initial_candidates(state):
         for position in range(query.arity):
             head = query.head[:position] + query.head[position + 1 :]
             projected = type(query)(head, query.body)
-            expected.add(class_of(projected, config)[0])
+            expected.add(class_of(projected, state)[0])
     second = beer_run.levels[1]
     assert len(expected) == 18
     assert set(second.candidate_keys) == expected
@@ -613,7 +618,7 @@ def test_run_obeys_the_apriori_invariant(beer_run):
     def parents_of(key):
         query = parse_query(key)
         assert state_key(beer_run, query) == key
-        return generalization_classes(query, beer_run.config)
+        return generalization_classes(query, beer_run)
 
     evaluated = candidate_keys(beer_run)
     assert set(beer_run.frequent_index) <= evaluated

@@ -1,12 +1,15 @@
 """Association-rule generation between discovered frequent queries."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+import cqmine.containment
 import cqmine.phase2
+import cqmine.queries
 from _oracle import rule_queries
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
@@ -15,8 +18,10 @@ from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import MinerConfig, parse_key_atom, run_phase1
 from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
 from cqmine.queries import canonical_form, instantiate, parse_query, render_query
+from cqmine.reports import run_dump
 
 
+@functools.lru_cache(maxsize=None)
 def ordered_key(query):
     """Equivalence key that keeps head order, as rules compare heads."""
     return canonical_form(minimize(query))[0]
@@ -354,6 +359,37 @@ def test_supports_held_from_phase_one_are_not_counted_again(
 def test_no_rules_without_frequent_queries(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=37, max_atoms=2))
     assert run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2))) == []
+
+
+# ---------------------------------------------------------------------------
+# per-run memos
+# ---------------------------------------------------------------------------
+
+
+def test_query_algebra_keeps_no_process_wide_memo():
+    assert not hasattr(cqmine.queries.canonical_form, "cache_info")
+    assert not hasattr(cqmine.containment.minimize, "cache_info")
+
+
+def test_each_run_owns_its_memos(beer_instance):
+    def mine(config):
+        state = run_phase1(beer_instance, config)
+        rules = run_phase2(state, beer_instance, RuleConfig(Fraction(1)))
+        return state, run_dump(state, rules, {})
+
+    config = MinerConfig(minsup=2, max_atoms=2)
+    first, first_dump = mine(config)
+    mine(MinerConfig(minsup=3, max_atoms=2, enable_constants=False))
+    second, second_dump = mine(config)
+    assert second_dump == first_dump
+    assert second.canonical_form is not first.canonical_form
+    assert second.minimize is not first.minimize
+    assert second.parents is not first.parents
+    # the runs in between left nothing behind: the second run starts from
+    # empty memos and does exactly the first run's work
+    assert second.canonical_form.cache_info() == first.canonical_form.cache_info()
+    assert second.minimize.cache_info() == first.minimize.cache_info()
+    assert second.parents == first.parents
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,12 @@ def substitute_terms(body: Iterable[Atom], mapping: Mapping[Term, Term]) -> froz
 def instantiate(
     query: ConjunctiveQuery, assignment: Mapping[SymbolicConstant, str]
 ) -> ConjunctiveQuery:
-    """Replace symbolic constants with real constants from ``assignment``."""
+    """Replace symbolic constants with real constants from ``assignment``.
+
+    An empty assignment returns ``query`` itself.
+    """
+    if not assignment:
+        return query
     mapping: dict[Term, Term] = {
         sym: Constant(value) for sym, value in assignment.items()
     }

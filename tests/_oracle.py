@@ -14,16 +14,19 @@ import csv
 import functools
 import itertools
 import random
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from cqmine.errors import DataError
+from cqmine.evaluation import support
+from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
     MinerState,
     class_of,
     immediate_generalizations,
 )
-from cqmine.phase2 import AssociationRule
+from cqmine.phase2 import AssociationRule, RuleConfig
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
@@ -338,6 +341,113 @@ def random_instance(rng: random.Random, beer_schema: Schema, max_rows: int = 12)
             (rng.choice(left), rng.choice(right)) for _ in range(n)
         )
     return Instance(beer_schema, tables)
+
+
+# ---------------------------------------------------------------------------
+# the per-assignment rule walk
+# ---------------------------------------------------------------------------
+#
+# One walk per consequent, with no grouping of constant assignments: every
+# frequent assignment of a placeholder discovery is instantiated, minimized
+# and walked on its own.  It keeps the step and support tables, so it is
+# quick enough to check ``run_phase2`` rule for rule.
+
+
+def _reference_consequents(
+    state: MinerState,
+) -> dict[str, tuple[ConjunctiveQuery, int]]:
+    """Canonical text -> (representative, support) of every consequent."""
+    consequents: dict[str, tuple[ConjunctiveQuery, int]] = {}
+    for record in state.frequent_records():
+        grouped = record.frequent_constants
+        if grouped is None:
+            text, representative = state.canonical_form(record.query)
+            consequents.setdefault(text, (representative, record.support))
+            continue
+        for assignment, count in grouped.sorted_items():
+            query = instantiate(record.query, dict(zip(grouped.symbols, assignment)))
+            text, representative = state.canonical_form(state.minimize(query))
+            consequents.setdefault(text, (representative, count))
+    return consequents
+
+
+def _reference_steps(
+    form_text: str, form: ConjunctiveQuery, table: dict, state: MinerState
+) -> list[tuple[str, ConjunctiveQuery, str, ConjunctiveQuery]]:
+    """Raw and minimized canonical forms one step from ``form``, memoized."""
+    steps = table.get(form_text)
+    if steps is None:
+        steps = []
+        for raw in itertools.chain(
+            atom_removals(form), splits(form, state.config.max_atoms)
+        ):
+            raw_text, raw_form = state.canonical_form(raw)
+            steps.append(
+                (raw_text, raw_form, *state.canonical_form(state.minimize(raw_form)))
+            )
+        table[form_text] = steps
+    return steps
+
+
+def _reference_walk(
+    base_text: str,
+    base: ConjunctiveQuery,
+    consequent_support: int,
+    state: MinerState,
+    instance: Instance,
+    config: RuleConfig,
+    supports: dict[str, int],
+    table: dict,
+) -> list[AssociationRule]:
+    text = base_text + "."
+    rules = []
+    if config.include_trivial:
+        rules.append(AssociationRule(text, text, consequent_support, Fraction(1)))
+    minconf = config.minconf
+    visited = {base_text}
+    emitted = {base_text}
+    frontier = [(base_text, base)]
+    while frontier:
+        next_frontier = []
+        for form_text, form in frontier:
+            for raw_text, raw_form, antecedent_text, antecedent in _reference_steps(
+                form_text, form, table, state
+            ):
+                if raw_text in visited:
+                    continue
+                visited.add(raw_text)
+                if antecedent_text not in supports:
+                    supports[antecedent_text] = support(antecedent, instance)
+                confidence = Fraction(consequent_support, supports[antecedent_text])
+                if confidence < minconf:
+                    continue
+                if antecedent_text not in emitted:
+                    emitted.add(antecedent_text)
+                    rules.append(
+                        AssociationRule(
+                            antecedent_text + ".", text, consequent_support, confidence
+                        )
+                    )
+                next_frontier.append((raw_text, raw_form))
+        frontier = next_frontier
+    return rules
+
+
+def reference_rules(
+    state: MinerState, instance: Instance, config: RuleConfig
+) -> list[AssociationRule]:
+    """``run_phase2``'s rules, in its order, from one walk per consequent."""
+    consequents = _reference_consequents(state)
+    supports = {text: count for text, (_, count) in consequents.items()}
+    table: dict = {}
+    rules = [
+        rule
+        for text, (consequent, count) in consequents.items()
+        for rule in _reference_walk(
+            text, consequent, count, state, instance, config, supports, table
+        )
+    ]
+    return sorted(rules, key=lambda r: (-r.confidence, r.antecedent, r.consequent))
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,35 @@ def test_three_atom_report_bytes_are_pinned(extra, tmp_path):
     assert digests == PINNED_THREE_ATOM_REPORTS[extra]
 
 
+# sha256 of frequent.txt and rules.txt of the large beer run (6,819 classes,
+# 440,070 rules); it takes about a minute, so it runs only under -m slow
+PINNED_LARGE_REPORTS = (
+    "cd32210bf6bad82389b0c1ccd232816078926d37fdca34f28184556b9e0c453f",
+    "08586052c7d36561353e7c41c76bcd91ecf68e5327db6bf8279b5b557ff8ba10",
+)
+
+
+@pytest.mark.slow
+def test_large_beer_report_bytes_are_pinned(tmp_path):
+    out = tmp_path / "run"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "schema.txt",
+            "--data", ".", "--max-atoms", "3", "--minsup", "3",
+            "--minconf", "0.5", "--out-dir", str(out),
+        ],
+        capture_output=True,
+        cwd=BEER,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in ("frequent.txt", "rules.txt")
+    )
+    assert digests == PINNED_LARGE_REPORTS
+
+
 def test_structured_stdout_equals_run_json(mine_out):
     result = subprocess.run(
         [

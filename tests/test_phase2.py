@@ -10,14 +10,23 @@ import pytest
 import cqmine.containment
 import cqmine.phase2
 import cqmine.queries
-from _oracle import rule_queries
+from _oracle import reference_rules, rule_queries
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
-from cqmine.evaluation import support
+from cqmine.evaluation import support, support_grouped
 from cqmine.generalization import atom_removals, splits
-from cqmine.phase1 import MinerConfig, parse_key_atom, run_phase1
+from cqmine.phase1 import (
+    Level,
+    MinerConfig,
+    MinerState,
+    QueryRecord,
+    class_of,
+    parse_key_atom,
+    run_phase1,
+)
 from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
 from cqmine.queries import canonical_form, instantiate, parse_query, render_query
+from cqmine.relational import Instance, RelationDecl, Schema
 from cqmine.reports import run_dump
 
 
@@ -348,17 +357,121 @@ def test_supports_held_from_phase_one_are_not_counted_again(
         counted.append(ordered_key(query))
         return support(query, instance)
 
+    # an antecedent that keeps constants is counted grouped, with its
+    # constants re-opened as placeholders, and each such count is made once
+    grouped_counts = []
+
+    def recording_support_grouped(query, instance, minsup=1):
+        grouped_counts.append(query)
+        return support_grouped(query, instance, minsup)
+
     monkeypatch.setattr(cqmine.phase2, "support", recording_support)
+    monkeypatch.setattr(cqmine.phase2, "support_grouped", recording_support_grouped)
     rules = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1, 2)))
     assert rules == rules_half
     assert counted
     assert not consequents & set(counted)
     assert len(counted) == len(set(counted))
+    assert grouped_counts
+    assert all(query.symbolic_constants() for query in grouped_counts)
+    assert len(grouped_counts) == len(set(grouped_counts))
 
 
 def test_no_rules_without_frequent_queries(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=37, max_atoms=2))
     assert run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2))) == []
+
+
+# ---------------------------------------------------------------------------
+# one walk per group of constant assignments
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("include_trivial", [False, True], ids=["plain", "trivial"])
+@pytest.mark.parametrize(
+    "minconf", [Fraction(1), Fraction(2, 3), Fraction(1, 2)], ids=["1", "2-3", "1-2"]
+)
+def test_rules_match_the_per_assignment_walk(
+    maxtwo_state, beer_instance, minconf, include_trivial
+):
+    config = RuleConfig(minconf, include_trivial)
+    expected = reference_rules(maxtwo_state, beer_instance, config)
+    assert run_phase2(maxtwo_state, beer_instance, config) == expected
+
+
+def test_rules_match_the_per_assignment_walk_at_three_atoms():
+    # the three-atom instance of the phase-1 oracle test: over two values,
+    # placeholders often share one, and instantiation collapses atoms
+    schema = Schema((RelationDecl("r", ("a", "b")),))
+    instance = Instance(schema, {"r": {("p", "q"), ("q", "p"), ("p", "p")}})
+    state = run_phase1(instance, MinerConfig(minsup=2, max_atoms=3))
+    config = RuleConfig(Fraction(1, 2))
+    rules = run_phase2(state, instance, config)
+    assert rules == reference_rules(state, instance, config)
+    assert len(rules) == 24257
+
+
+def test_one_walk_serves_every_assignment(monkeypatch):
+    # likes(x1, $c1) is frequent for 'a', 'b' and 'c'; the three consequents
+    # differ only by their constant, so one walk, from the first, serves all
+    schema = Schema((RelationDecl("likes", ("drinker", "beer")),))
+    rows = {("d1", "a"), ("d2", "a"), ("d1", "b"), ("d2", "b"), ("d3", "b")}
+    instance = Instance(schema, {"likes": rows | {("d1", "c"), ("d3", "c")}})
+    state = run_phase1(instance, MinerConfig(minsup=2, max_atoms=1))
+    [record] = [
+        record
+        for record in state.frequent_records()
+        if render_query(record.query) == "Q(x1) :- likes(x1, $c1)."
+    ]
+    grouped = record.frequent_constants
+    assert sorted(grouped.counts) == [("a",), ("b",), ("c",)]
+    consequents = {
+        canonical_form(instantiate(record.query, dict(zip(grouped.symbols, values))))[0]
+        for values in grouped.counts
+    }
+    expanded = []
+
+    def recording_atom_removals(form):
+        expanded.append(canonical_form(form)[0])
+        return atom_removals(form)
+
+    monkeypatch.setattr(cqmine.phase2, "atom_removals", recording_atom_removals)
+    config = RuleConfig(Fraction(1, 2))
+    rules = run_phase2(state, instance, config)
+    assert sum(text in consequents for text in expanded) == 1
+    assert rules == reference_rules(state, instance, config)
+    for beer, confidence in (("a", Fraction(2, 3)), ("b", 1), ("c", Fraction(2, 3))):
+        consequent = f"Q(x1) :- likes(x1, '{beer}')."
+        rule = find_rule(rules, "Q(x1) :- likes(x1, x2).", consequent)
+        assert rule.confidence == confidence
+
+
+def test_equal_values_form_a_group_of_their_own():
+    # one discovery with two placeholders; assignments that give both the
+    # same value collapse its two atoms into one, a walk of another shape
+    schema = Schema((RelationDecl("r", ("a", "b")),))
+    rows = {("x", "p"), ("x", "q"), ("y", "p"), ("y", "q"), ("z", "p")}
+    instance = Instance(schema, {"r": rows})
+    state = MinerState(MinerConfig(minsup=2, max_atoms=2), schema)
+    query = parse_query("Q(x1) :- r(x1, $c1), r(x1, $c2)", schema)
+    key, representative = class_of(query, state)
+    grouped = support_grouped(representative, instance, minsup=2)
+    assert grouped.counts == {
+        ("p", "p"): 3, ("p", "q"): 2, ("q", "p"): 2, ("q", "q"): 2
+    }
+    state.frequent_index[key] = QueryRecord(representative, grouped.best(), 1, grouped)
+    state.levels.append(Level(1, (key,), (key,)))
+    # ('p', 'q') and ('q', 'p') give the same query, which is walked once
+    groups = cqmine.phase2._consequent_groups(state)
+    assert [group.texts for group in groups] == [
+        ["Q(x1) :- r(x1, 'p')", "Q(x1) :- r(x1, 'q')"],
+        ["Q(x1) :- r(x1, 'p'), r(x1, 'q')"],
+    ]
+    for minconf in (Fraction(1), Fraction(1, 2)):
+        config = RuleConfig(minconf, include_trivial=True)
+        assert run_phase2(state, instance, config) == reference_rules(
+            state, instance, config
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .generalization import atom_removals, splits
 from .queries import (
     Atom,
     ConjunctiveQuery,
+    Term,
     Variable,
     canonical_form,
     fresh_symbolic_constant,
@@ -122,8 +123,11 @@ class Level:
 class MinerState:
     """Everything accumulated by a mining run, and the run's memos.
 
-    Phase 1, phase 2 and the reports share the ``canonical_form`` and
-    ``minimize`` memos; ``parents`` holds the generalization keys of each
+    ``classes`` maps the shape of every raw query ``class_of`` has keyed to
+    its ``(key, representative)`` pair, so a renaming of a query already
+    keyed costs one shape and one lookup.  Phase 1's misses, phase 2 and the
+    reports share the ``canonical_form`` memo; phase 2 alone uses the
+    ``minimize`` memo.  ``parents`` holds the generalization keys of each
     class ``admission`` walked in full.  All live as long as the state.
     """
 
@@ -133,6 +137,9 @@ class MinerState:
     frequent_index: dict[str, QueryRecord] = field(default_factory=dict)
     infrequent_index: set[str] = field(default_factory=set)
     parents: dict[str, list[str]] = field(default_factory=dict)
+    classes: dict[tuple, tuple[str, ConjunctiveQuery]] = field(
+        default_factory=dict, repr=False, compare=False
+    )
     canonical_form: Callable = field(init=False, repr=False, compare=False)
     minimize: Callable = field(init=False, repr=False, compare=False)
 
@@ -183,6 +190,53 @@ def _used_names(query: ConjunctiveQuery) -> set[str]:
     return {variable.name for variable in query.variables()}
 
 
+def _shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
+    """A rendering of ``query`` that renaming its variables and placeholders
+    leaves unchanged, and so does reordering its head unless ``head_ordered``.
+
+    Atoms are sorted by relation, then by a name-free signature: each
+    argument is its literal constant, or its kind with the position of its
+    first occurrence in the atom and, for a head variable, a head mark (its
+    head position when ``head_ordered``).  Raw terms break the remaining
+    ties.  Variables and placeholders are then numbered in order of first
+    occurrence, placeholders negative.  The shape is one flat tuple: the
+    head's numbers, then each atom's relation followed by its arguments.
+    Equal shapes mean the two queries are renamings of each other;
+    renamings whose ties broke differently only get different shapes.
+    """
+    head, body = query
+    if head_ordered:
+        marks = {variable: i for i, variable in enumerate(head)}
+    else:
+        marks = dict.fromkeys(head, 0)
+    mark = marks.get
+    decorated = []
+    for atom in body:
+        args = atom[1]
+        signature = [
+            term if term[0] == "c" else (term[0], args.index(term), mark(term, -1))
+            for term in args
+        ]
+        decorated.append((atom[0], signature, args))
+    decorated.sort()
+    numbers: dict[Term, int] = {}
+    shape: list = []
+    for relation, _, args in decorated:
+        shape.append(relation)
+        for term in args:
+            if term[0] != "c":
+                number = numbers.get(term)
+                if number is None:
+                    count = len(numbers)
+                    number = numbers[term] = count if term[0] == "v" else ~count
+                term = number
+            shape.append(term)
+    head_numbers = [numbers[variable] for variable in head]
+    if not head_ordered:
+        head_numbers.sort()
+    return (*head_numbers, *shape)
+
+
 def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, ConjunctiveQuery]:
     """The key of a query's class and the class representative.
 
@@ -191,11 +245,22 @@ def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, Conjuncti
     equal keys.  Without a key atom the key also absorbs head reordering.
     With one, every query of the language carries the anchor's variables as
     its head, so the head order is kept and representatives list the
-    anchor's arguments in order.  Both steps go through the state's memos.
+    anchor's arguments in order.
+
+    Results are memoized in ``state.classes`` by the query's ``_shape``: a
+    renaming of a query already keyed (and, without a key atom, a head
+    reordering) has an isomorphic core and so the same key and
+    representative.  A miss minimizes and renders the query through the
+    state's ``canonical_form`` memo.
     """
-    return state.canonical_form(
-        state.minimize(query), modulo_head_permutation=state.config.key_atom is None
-    )
+    head_ordered = state.config.key_atom is not None
+    shape = _shape(query, head_ordered)
+    found = state.classes.get(shape)
+    if found is None:
+        found = state.classes[shape] = state.canonical_form(
+            minimize(query), modulo_head_permutation=not head_ordered
+        )
+    return found
 
 
 def specializations(

@@ -439,7 +439,10 @@ def canonical_form(
     )
     renaming = {old: _term_for_name(name) for old, name in naming.items()}
     head = tuple(_term_for_name(f"x{i}") for i in range(1, len(query.head) + 1))
-    return text, ConjunctiveQuery(head, substitute_terms(query.body, renaming))
+    # an injective renaming of a valid query is valid, so it skips the checks
+    # of ConjunctiveQuery.__new__
+    body = substitute_terms(query.body, renaming)
+    return text, tuple.__new__(ConjunctiveQuery, (head, body))
 
 
 def render_query(query: ConjunctiveQuery) -> str:

@@ -173,11 +173,13 @@ def test_three_atom_report_bytes_are_pinned(extra, tmp_path):
     assert digests == PINNED_THREE_ATOM_REPORTS[extra]
 
 
-# sha256 of frequent.txt and rules.txt of the large beer run (6,819 classes,
-# 440,070 rules); it takes about a minute, so it runs only under -m slow
+# sha256 of frequent.txt, rules.txt and run.json of the large beer run
+# (6,819 classes, 440,070 rules); run.json pins phase 1's level lists too.
+# It takes about a minute, so it runs only under -m slow
 PINNED_LARGE_REPORTS = (
     "cd32210bf6bad82389b0c1ccd232816078926d37fdca34f28184556b9e0c453f",
     "08586052c7d36561353e7c41c76bcd91ecf68e5327db6bf8279b5b557ff8ba10",
+    "25d5d8e37ecb1fe8629ec33c4676fa99d2154e6768f57a6e5fb39a5c4f901b88",
 )
 
 
@@ -197,7 +199,7 @@ def test_large_beer_report_bytes_are_pinned(tmp_path):
     assert result.returncode == 0, result.stderr
     digests = tuple(
         hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in ("frequent.txt", "rules.txt")
+        for name in ("frequent.txt", "rules.txt", "run.json")
     )
     assert digests == PINNED_LARGE_REPORTS
 

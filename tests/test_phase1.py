@@ -628,3 +628,24 @@ def test_run_obeys_the_apriori_invariant(beer_run):
     assert pruned
     for key in pruned:
         assert any(parent in beer_run.infrequent_index for parent in parents_of(key))
+
+
+def test_run_keys_most_classes_from_the_memo(beer_instance, monkeypatch):
+    # most raw queries phase 1 keys are renamings of one keyed before; only
+    # the memo's misses minimize (8,825 calls, 1,841 misses when written)
+    calls = {"class_of": 0, "minimize": 0}
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(phase1, "class_of", counting("class_of", phase1.class_of))
+    monkeypatch.setattr(phase1, "minimize", counting("minimize", phase1.minimize))
+    config = MinerConfig(minsup=40, max_atoms=3, enable_constants=False)
+    state = run_phase1(beer_instance, config)
+    assert state.frequent_index
+    assert calls["minimize"] == len(state.classes)
+    assert calls["minimize"] < calls["class_of"] / 2

@@ -4,7 +4,9 @@ Phase 2 shares generalization steps between consequents by canonical text,
 which is sound only if that text ignores how variables and placeholders are
 named; the text must be the least rendering over all atom orders, as the
 enumerating oracle finds it; minimization must reach a fixed point that is
-equivalent to its input.
+equivalent to its input.  Phase 1 memoizes class keys by a shape that
+ignores the same names, which is sound only if renamed copies of a query get
+the class its own minimization and canonical form would give.
 """
 
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import _oracle
 from cqmine.containment import is_equivalent, minimize
+from cqmine.phase1 import MinerConfig, MinerState, _shape, class_of
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
@@ -19,8 +22,12 @@ from cqmine.queries import (
     SymbolicConstant,
     Variable,
     canonical_form,
+    fresh_symbolic_constant,
+    fresh_variable,
     instantiate,
+    substitute_terms,
 )
+from cqmine.relational import Schema
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -53,10 +60,8 @@ def queries(draw):
     return ConjunctiveQuery(tuple(head), frozenset(body))
 
 
-@PROPERTY
-@given(st.data())
-def test_canonical_text_ignores_variable_and_placeholder_names(data):
-    query = data.draw(queries())
+def renaming(data, query):
+    """A random injective renaming of the query's variables and placeholders."""
     variables = sorted(query.variables(), key=lambda v: v.name)
     symbolics = sorted(query.symbolic_constants(), key=lambda s: s.index)
     names = data.draw(st.permutations([f"w{i}" for i in range(len(variables))]))
@@ -72,10 +77,69 @@ def test_canonical_text_ignores_variable_and_placeholder_names(data):
     mapping.update(
         {s: SymbolicConstant(index) for s, index in zip(symbolics, indices)}
     )
-    renamed = _oracle.substitute(query, mapping)
+    return mapping
+
+
+@PROPERTY
+@given(st.data())
+def test_canonical_text_ignores_variable_and_placeholder_names(data):
+    query = data.draw(queries())
+    renamed = _oracle.substitute(query, renaming(data, query))
     text, form = canonical_form(query)
     assert canonical_form(renamed) == (text, form)
     assert canonical_form(form)[0] == text
+    # the form is built without re-validation; it must equal the checked query
+    assert type(form) is ConjunctiveQuery
+    assert form == ConjunctiveQuery(form.head, form.body)
+
+
+# class keys take no schema; only whether a key atom is set matters to them
+KEY_ATOM_MODES = {
+    "unordered": MinerConfig(minsup=1),
+    "key atom": MinerConfig(
+        minsup=1, key_atom=Atom("likes", (Variable("k1"), Variable("k2")))
+    ),
+}
+
+
+def kind_swaps(query):
+    """Copies with one non-head variable made a placeholder, or one
+    placeholder made a variable: the same pattern of terms, other kinds."""
+    symbol = fresh_symbolic_constant(query.symbolic_constants())
+    variable = fresh_variable(v.name for v in query.variables())
+    swaps = [(v, symbol) for v in sorted(query.variables() - set(query.head))]
+    swaps += [(s, variable) for s in sorted(query.symbolic_constants())]
+    for old, new in swaps:
+        yield ConjunctiveQuery(query.head, substitute_terms(query.body, {old: new}))
+
+
+@PROPERTY
+@given(st.data(), st.sampled_from(sorted(KEY_ATOM_MODES)))
+def test_class_memo_agrees_on_renamed_copies(data, mode):
+    config = KEY_ATOM_MODES[mode]
+    head_ordered = config.key_atom is not None
+    state = MinerState(config, Schema(()))
+    # tied bodies make the shape's tie-break by raw names decide
+    originals = [data.draw(st.one_of(queries(), tied_queries())) for _ in range(3)]
+    copies = []
+    for query in originals:
+        for _ in range(3):
+            mapping = renaming(data, query)
+            # a reordered head is another class with a key atom; the memo
+            # must keep it apart then and merge it otherwise
+            head = data.draw(st.permutations([mapping[v] for v in query.head]))
+            body = substitute_terms(query.body, mapping)
+            copies.append(ConjunctiveQuery(tuple(head), body))
+        copies.extend(kind_swaps(query))
+    for query in originals + copies:
+        assert class_of(query, state) == canonical_form(
+            minimize(query), modulo_head_permutation=not head_ordered
+        )
+    # equal shapes mean renamings: the raw queries render alike
+    texts = {}
+    for query in originals + copies:
+        text = canonical_form(query, modulo_head_permutation=not head_ordered)[0]
+        assert texts.setdefault(_shape(query, head_ordered), text) == text
 
 
 @st.composite

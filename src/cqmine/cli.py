@@ -33,7 +33,7 @@ from .phase1 import MinerConfig, parse_key_atom, run_phase1
 from .phase2 import RuleConfig, run_phase2
 from .queries import parse_query, render_term
 from .relational import Schema, load_instance, load_schema
-from .reports import dump_json, frequent_report_lines, rule_report_lines, run_dump
+from .reports import write_reports, write_text_report
 from .sqlgen import emit_sql
 
 __all__ = [
@@ -98,37 +98,30 @@ def cmd_mine(manifest: RunManifest, schema: Schema) -> int:
     """Run phase 1 and phase 2 and emit all three reports."""
     instance = load_instance(schema, manifest.data_dir)
     state = run_phase1(instance, manifest.miner)
+    # phase 2 and the reports read neither phase 1's class memo nor its
+    # generalization keys
+    state.classes.clear()
+    state.parents.clear()
     rules = run_phase2(state, instance, manifest.rules)
-    payload = run_dump(state, rules, _parameters(manifest))
-    del state, rules  # the run's memos go before any report is written
 
     out_dir = manifest.out_dir
     if out_dir is not None:
-        reports = {
-            "frequent.txt": frequent_report_lines(payload),
-            "rules.txt": rule_report_lines(payload),
-        }
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-            for name, lines in reports.items():
-                with open(out_dir / name, "w", encoding="utf-8") as handle:
-                    handle.writelines(line + "\n" for line in lines)
-            with open(out_dir / "run.json", "w", encoding="utf-8") as handle:
-                dump_json(payload, handle)
+            with (
+                open(out_dir / "frequent.txt", "w", encoding="utf-8") as frequent_txt,
+                open(out_dir / "rules.txt", "w", encoding="utf-8") as rules_txt,
+                open(out_dir / "run.json", "w", encoding="utf-8") as run_json,
+            ):
+                write_reports(
+                    state, rules, _parameters(manifest), run_json, frequent_txt, rules_txt
+                )
         except OSError as exc:
             raise ConfigError(f"cannot write reports to {out_dir}: {exc}") from exc
-        return 0
-    if manifest.format == "structured":
-        dump_json(payload, sys.stdout)
-        return 0
-    frequent_lines = frequent_report_lines(payload)
-    rule_lines = rule_report_lines(payload)
-    print(f"# frequent queries: {len(frequent_lines)}")
-    for line in frequent_lines:
-        print(line)
-    print(f"# association rules: {len(rule_lines)}")
-    for line in rule_lines:
-        print(line)
+    elif manifest.format == "structured":
+        write_reports(state, rules, _parameters(manifest), sys.stdout)
+    else:
+        write_text_report(state, rules, sys.stdout)
     return 0
 
 

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import cqmine
-from cqmine import cli
+from cqmine import cli, reports
 from cqmine.cli import main
+from cqmine.phase1 import run_phase1
+from cqmine.phase2 import run_phase2
 from cqmine.relational import load_instance, load_schema
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -244,18 +246,68 @@ def test_mine_stdout_structured_format(capsys):
 
 
 def test_structured_stdout_builds_no_text_report(monkeypatch, capsys):
-    def not_written(payload):
-        raise AssertionError("a text report was built but is not written")
+    text_streams = []
 
-    monkeypatch.setattr(cli, "frequent_report_lines", not_written)
-    monkeypatch.setattr(cli, "rule_report_lines", not_written)
+    def spy(write):
+        def spied(items, text, run_json):
+            text_streams.append(text)
+            return write(items, text, run_json)
+
+        return spied
+
+    monkeypatch.setattr(reports, "write_frequent", spy(reports.write_frequent))
+    monkeypatch.setattr(reports, "write_rules", spy(reports.write_rules))
     rc = main([
         "mine", "--schema", SCHEMA, "--data", str(BEER),
         "--minsup", "2", "--max-atoms", "1", "--format", "structured",
     ])
     assert rc == 0
+    # both writers ran, for run.json alone: no text line was built
+    assert text_streams == [None, None]
     payload = json.loads(capsys.readouterr().out)
     assert any(e["query"] == "Q(x1, x2) :- likes(x1, x2)." for e in payload["frequent"])
+
+
+def test_text_stdout_equals_out_dir_reports(mine_out):
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", SCHEMA,
+            "--data", str(BEER), "--minsup", "2", "--minconf", "1.0",
+        ],
+        capture_output=True,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    frequent = (mine_out / "frequent.txt").read_bytes()
+    rules = (mine_out / "rules.txt").read_bytes()
+    assert b"\n  " in frequent  # the count covers assignment lines too
+    assert result.stdout == (
+        b"# frequent queries: %d\n" % frequent.count(b"\n") + frequent
+        + b"# association rules: %d\n" % rules.count(b"\n") + rules
+    )
+
+
+def test_mine_frees_phase_one_memos_before_phase_two(monkeypatch, tmp_path):
+    seen = []
+
+    def phase1(instance, config):
+        state = run_phase1(instance, config)
+        seen.append((len(state.classes), len(state.parents)))
+        return state
+
+    def phase2(state, instance, config):
+        seen.append((len(state.classes), len(state.parents)))
+        return run_phase2(state, instance, config)
+
+    monkeypatch.setattr(cli, "run_phase1", phase1)
+    monkeypatch.setattr(cli, "run_phase2", phase2)
+    assert main([
+        "mine", "--schema", SCHEMA, "--data", str(BEER), "--minsup", "2",
+        "--out-dir", str(tmp_path / "run"),
+    ]) == 0
+    (classes, parents), at_phase2 = seen
+    assert classes > 0 and parents > 0
+    assert at_phase2 == (0, 0)
 
 
 def test_key_atom_run_keeps_head_order(capsys):
@@ -579,6 +631,42 @@ def test_mine_keyword_names_nul_and_leading_zeros(keyword_data, tmp_path):
     assert "  3\tQ(x1) :- order(x1, '1')." in frequent
     assert "  1\tQ(x1) :- order(x1, '01')." in frequent
     assert "  1\tQ(x1) :- order('a\0b', x1)." in frequent
+
+
+# run.json's own layout must stay json's indent-2 layout: escapes (NUL,
+# quotes, backslashes, non-ASCII text), keyword names, empty arrays
+JSON_LAYOUT_RUNS = {
+    "constants": ("--minsup", "2", "--minconf", "0.5"),
+    "key-atom": ("--minsup", "2", "--minconf", "0.5", "--key-atom", "likes(_,_)"),
+    "empty": ("--minsup", "37"),
+    "keyword-data": ("--minsup", "1"),
+    "escapes": ("--minsup", "1", "--minconf", "0.1"),
+}
+
+
+@pytest.mark.parametrize("case", list(JSON_LAYOUT_RUNS))
+def test_run_json_is_laid_out_as_json_dump(case, keyword_data, tmp_path):
+    data = {"keyword-data": keyword_data, "escapes": tmp_path / "escapes"}.get(case, BEER)
+    if case == "escapes":
+        data.mkdir()
+        (data / "schema.txt").write_text("likes(drinker, beer)\n", encoding="utf-8")
+        (data / "likes.csv").write_text(
+            '"Zoë","Brouwerij \'t IJ"\n"Zoë",Kölsch\nAnn,Kölsch\n'
+            '"a""b\\c",Kölsch\n"tab\there",x y\n',
+            encoding="utf-8",
+        )
+    out = tmp_path / "run"
+    assert main([
+        "mine", "--schema", str(data / "schema.txt"), "--data", str(data),
+        *JSON_LAYOUT_RUNS[case], "--out-dir", str(out),
+    ]) == 0
+    text = (out / "run.json").read_text(encoding="utf-8")
+    payload = json.loads(text)
+    assert text == json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+    if case == "empty":
+        assert payload["frequent"] == payload["rules"] == []
+    else:
+        assert any(e["constants"] for e in payload["frequent"]) and payload["rules"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Association-rule generation between discovered frequent queries."""
 
 import functools
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from cqmine.phase1 import (
 from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
 from cqmine.queries import canonical_form, instantiate, parse_query, render_query
 from cqmine.relational import Instance, RelationDecl, Schema
-from cqmine.reports import run_dump
+from cqmine.reports import write_reports
 
 
 @functools.lru_cache(maxsize=None)
@@ -488,13 +489,15 @@ def test_each_run_owns_its_memos(beer_instance):
     def mine(config):
         state = run_phase1(beer_instance, config)
         rules = run_phase2(state, beer_instance, RuleConfig(Fraction(1)))
-        return state, run_dump(state, rules, {})
+        run_json = io.StringIO()
+        write_reports(state, rules, {}, run_json)
+        return state, run_json.getvalue()
 
     config = MinerConfig(minsup=2, max_atoms=2)
-    first, first_dump = mine(config)
+    first, first_report = mine(config)
     mine(MinerConfig(minsup=3, max_atoms=2, enable_constants=False))
-    second, second_dump = mine(config)
-    assert second_dump == first_dump
+    second, second_report = mine(config)
+    assert second_report == first_report
     assert second.canonical_form is not first.canonical_form
     assert second.minimize is not first.minimize
     assert second.parents is not first.parents

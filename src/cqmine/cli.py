@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .containment import (
@@ -32,12 +31,11 @@ from .evaluation import evaluate, support_grouped
 from .phase1 import MinerConfig, parse_key_atom, run_phase1
 from .phase2 import RuleConfig, run_phase2
 from .queries import parse_query, render_term
-from .relational import Schema, load_instance, load_schema
+from .relational import load_instance, load_schema
 from .reports import write_reports, write_text_report
 from .sqlgen import emit_sql
 
 __all__ = [
-    "RunManifest",
     "build_parser",
     "cmd_contain",
     "cmd_emit_sql",
@@ -47,24 +45,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class RunManifest:
-    """Validated description of one mine run; the caller loads its schema."""
-
-    schema_path: Path
-    data_dir: Path
-    miner: MinerConfig
-    rules: RuleConfig
-    out_dir: Path | None = None
-    format: str = "text"
-
-    def __post_init__(self) -> None:
-        if not self.data_dir.is_dir():
-            raise ConfigError(f"data directory not found: {self.data_dir}")
-        if self.format not in ("text", "structured"):
-            raise ConfigError(f"unknown output format: {self.format!r}")
-
-
 def _key_atom_pattern(config: MinerConfig) -> str | None:
     if config.key_atom is None:
         return None
@@ -72,11 +52,13 @@ def _key_atom_pattern(config: MinerConfig) -> str | None:
     return f"{config.key_atom.relation}({underscores})"
 
 
-def _parameters(manifest: RunManifest) -> dict:
-    miner, rules = manifest.miner, manifest.rules
+def _parameters(
+    args: argparse.Namespace, miner: MinerConfig, rules: RuleConfig
+) -> dict:
+    # paths as pathlib normalizes them: ``--data ./`` is recorded as "."
     return {
-        "schema": str(manifest.schema_path),
-        "data": str(manifest.data_dir),
+        "schema": str(Path(args.schema)),
+        "data": str(Path(args.data)),
         "minsup": miner.minsup,
         "max_atoms": miner.max_atoms,
         "enable_constants": miner.enable_constants,
@@ -94,18 +76,38 @@ def _parameters(manifest: RunManifest) -> dict:
     }
 
 
-def cmd_mine(manifest: RunManifest, schema: Schema) -> int:
-    """Run phase 1 and phase 2 and emit all three reports."""
-    instance = load_instance(schema, manifest.data_dir)
-    state = run_phase1(instance, manifest.miner)
+def cmd_mine(args: argparse.Namespace) -> int:
+    """Run phase 1 and phase 2 and emit all three reports.
+
+    Both configurations are validated before any CSV is read.
+    """
+    schema = load_schema(args.schema)
+    key_atom = parse_key_atom(args.key_atom, schema) if args.key_atom else None
+    miner = MinerConfig(
+        minsup=args.minsup,
+        max_atoms=args.max_atoms,
+        enable_constants=not args.no_constants,
+        key_atom=key_atom,
+    )
+    if miner.max_atoms > 3:
+        print(
+            f"warning: --max-atoms {miner.max_atoms} explores a very large "
+            "candidate space; expect a long run",
+            file=sys.stderr,
+        )
+    rule_config = RuleConfig(args.minconf)
+    parameters = _parameters(args, miner, rule_config)
+
+    instance = load_instance(schema, args.data)
+    state = run_phase1(instance, miner)
     # phase 2 and the reports read neither phase 1's class memo nor its
     # generalization keys
     state.classes.clear()
     state.parents.clear()
-    rules = run_phase2(state, instance, manifest.rules)
+    rules = run_phase2(state, instance, rule_config)
 
-    out_dir = manifest.out_dir
-    if out_dir is not None:
+    if args.out_dir:
+        out_dir = Path(args.out_dir)
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             with (
@@ -114,24 +116,24 @@ def cmd_mine(manifest: RunManifest, schema: Schema) -> int:
                 open(out_dir / "run.json", "w", encoding="utf-8") as run_json,
             ):
                 write_reports(
-                    state, rules, _parameters(manifest), run_json, frequent_txt, rules_txt
+                    state, rules, parameters, run_json, frequent_txt, rules_txt
                 )
         except OSError as exc:
             raise ConfigError(f"cannot write reports to {out_dir}: {exc}") from exc
-    elif manifest.format == "structured":
-        write_reports(state, rules, _parameters(manifest), sys.stdout)
+    elif args.format == "structured":
+        write_reports(state, rules, parameters, sys.stdout)
     else:
         write_text_report(state, rules, sys.stdout)
     return 0
 
 
-def cmd_eval(query_text: str, schema_path: Path, data_dir: Path, minsup: int) -> int:
+def cmd_eval(args: argparse.Namespace) -> int:
     """Print a query's answers and support, grouped when placeholders occur."""
-    schema = load_schema(schema_path)
-    instance = load_instance(schema, data_dir)
-    query = parse_query(query_text, schema)
+    schema = load_schema(args.schema)
+    instance = load_instance(schema, args.data)
+    query = parse_query(args.query, schema)
     if query.symbolic_constants():
-        grouped = support_grouped(query, instance, minsup)
+        grouped = support_grouped(query, instance, max(args.minsup, 1))
         print("\t".join([*(render_term(s) for s in grouped.symbols), "support"]))
         for values, count in grouped.sorted_items():
             print("\t".join([*values, str(count)]))
@@ -143,10 +145,11 @@ def cmd_eval(query_text: str, schema_path: Path, data_dir: Path, minsup: int) ->
     return 0
 
 
-def cmd_contain(query1_text: str, query2_text: str, schema=None) -> int:
+def cmd_contain(args: argparse.Namespace) -> int:
     """Classify how two queries relate under containment."""
-    q1 = parse_query(query1_text, schema)
-    q2 = parse_query(query2_text, schema)
+    schema = load_schema(args.schema) if args.schema else None
+    q1 = parse_query(args.query1, schema)
+    q2 = parse_query(args.query2, schema)
     if q1.arity == q2.arity and is_equivalent(q1, q2):
         print("equivalent")
     elif q1.arity == q2.arity and is_contained(q1, q2):
@@ -162,9 +165,10 @@ def cmd_contain(query1_text: str, query2_text: str, schema=None) -> int:
     return 0
 
 
-def cmd_emit_sql(query_text: str, schema) -> int:
+def cmd_emit_sql(args: argparse.Namespace) -> int:
     """Print the SQL rendering of one query."""
-    print(emit_sql(parse_query(query_text, schema), schema))
+    schema = load_schema(args.schema)
+    print(emit_sql(parse_query(args.query, schema), schema))
     return 0
 
 
@@ -204,72 +208,28 @@ def build_parser() -> argparse.ArgumentParser:
                       "instead of stdout")
     mine.add_argument("--format", choices=("text", "structured"), default="text",
                       help="stdout format when --out-dir is not given")
-    mine.set_defaults(handler=_handle_mine)
+    mine.set_defaults(handler=cmd_mine)
 
     evaluate_cmd = commands.add_parser("eval", help="evaluate one query")
     _add_data_options(evaluate_cmd)
     evaluate_cmd.add_argument("--minsup", type=int, default=1,
                               help="hide constant assignments below this support")
     evaluate_cmd.add_argument("query", help="query text")
-    evaluate_cmd.set_defaults(handler=_handle_eval)
+    evaluate_cmd.set_defaults(handler=cmd_eval)
 
     contain = commands.add_parser("contain",
                                   help="compare two queries under containment")
     contain.add_argument("--schema", help="optional schema for validation")
     contain.add_argument("query1", help="first query")
     contain.add_argument("query2", help="second query")
-    contain.set_defaults(handler=_handle_contain)
+    contain.set_defaults(handler=cmd_contain)
 
     sql = commands.add_parser("sql", help="print a query's SQL rendering")
     sql.add_argument("--schema", required=True, help="schema declaration file")
     sql.add_argument("query", help="query text")
-    sql.set_defaults(handler=_handle_sql)
+    sql.set_defaults(handler=cmd_emit_sql)
 
     return parser
-
-
-def _manifest_for_mine(args: argparse.Namespace, schema: Schema) -> RunManifest:
-    key_atom = None
-    if args.key_atom:
-        key_atom = parse_key_atom(args.key_atom, schema)
-    miner = MinerConfig(
-        minsup=args.minsup,
-        max_atoms=args.max_atoms,
-        enable_constants=not args.no_constants,
-        key_atom=key_atom,
-    )
-    if miner.max_atoms > 3:
-        print(
-            f"warning: --max-atoms {miner.max_atoms} explores a very large "
-            "candidate space; expect a long run",
-            file=sys.stderr,
-        )
-    return RunManifest(
-        schema_path=Path(args.schema),
-        data_dir=Path(args.data),
-        miner=miner,
-        rules=RuleConfig(args.minconf),
-        out_dir=Path(args.out_dir) if args.out_dir else None,
-        format=args.format,
-    )
-
-
-def _handle_mine(args: argparse.Namespace) -> int:
-    schema = load_schema(args.schema)
-    return cmd_mine(_manifest_for_mine(args, schema), schema)
-
-
-def _handle_eval(args: argparse.Namespace) -> int:
-    return cmd_eval(args.query, Path(args.schema), Path(args.data), max(args.minsup, 1))
-
-
-def _handle_contain(args: argparse.Namespace) -> int:
-    schema = load_schema(args.schema) if args.schema else None
-    return cmd_contain(args.query1, args.query2, schema)
-
-
-def _handle_sql(args: argparse.Namespace) -> int:
-    return cmd_emit_sql(args.query, load_schema(args.schema))
 
 
 def main(argv: list[str] | None = None) -> int:

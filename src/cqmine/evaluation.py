@@ -4,10 +4,11 @@ The answer of a query is the set of head tuples produced by matchings, where
 a matching assigns a constant to every variable so that each body atom lands
 on a row of its relation.  Support is the number of distinct answer tuples.
 
-Queries with symbolic constants are evaluated grouped: each assignment of the
-placeholders to constants gets its own support count.  Every query runs as
-the SQL that ``cqmine.sqlgen`` renders, on the instance's sqlite3 database;
-a database error becomes a ``QueryError``.
+Every support is a grouped count: each assignment of the query's
+placeholders to constants gets its own support, and a query without
+placeholders has the one empty assignment ``()``.  Every query runs as the
+SQL that ``cqmine.sqlgen`` renders, on the instance's sqlite3 database; a
+database error becomes a ``QueryError``.
 
 Supports are counted per connected component of the body, where atoms are
 connected by shared variables and placeholders (constants link nothing).
@@ -99,25 +100,21 @@ def evaluate(query: ConjunctiveQuery, instance: Instance) -> frozenset[tuple[str
 
 
 def support(query: ConjunctiveQuery, instance: Instance) -> int:
-    """Number of distinct answer tuples: the product of per-component counts."""
+    """Number of distinct answer tuples of a query without placeholders:
+    the grouped count of its one assignment ``()``."""
     _require_plain(query)
-    check_against_schema(query, instance.schema)
-    count = 1
-    for component in _components(query):
-        [(factor,)] = _factor_rows(component, instance, {})
-        if not factor:
-            return 0
-        count *= factor
-    return count
+    return support_grouped(query, instance).counts.get((), 0)
 
 
 @dataclass(frozen=True)
 class GroupedSupport:
-    """Per-assignment supports for a query with symbolic constants.
+    """Per-assignment supports of a query.
 
     ``counts`` maps a tuple of constant values — aligned with ``symbols``,
     which lists the query's symbolic constants in index order — to the
-    support of the query instantiated at that assignment.
+    support of the query instantiated at that assignment.  A query without
+    symbolic constants has ``symbols == ()`` and at most the one assignment
+    ``()``.
     """
 
     symbols: tuple[SymbolicConstant, ...]
@@ -138,13 +135,13 @@ def support_grouped(
 ) -> GroupedSupport:
     """Grouped evaluation: support per symbolic-constant assignment.
 
-    Assignments with support below ``minsup`` are omitted.  A single
-    component is counted with the threshold in SQL; several are counted
-    without one, and the products of their counts are filtered.
+    This is the one support count; a query without symbolic constants is
+    counted as its one assignment ``()``.  Assignments with support below
+    ``minsup`` are omitted.  A single component is counted with the
+    threshold in SQL; several are counted without one, and the products of
+    their counts are filtered.
     """
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
-    if not symbols:
-        raise QueryError("query has no symbolic constants; use support/evaluate")
     check_against_schema(query, instance.schema)
     components = _components(query)
     threshold = minsup if len(components) == 1 else 1

@@ -27,7 +27,7 @@ from typing import Callable, Iterator
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
-from .evaluation import GroupedSupport, support, support_grouped
+from .evaluation import GroupedSupport, support_grouped
 from .generalization import atom_removals, splits
 from .queries import (
     Atom,
@@ -100,14 +100,16 @@ class MinerConfig:
 class QueryRecord:
     """A frequent discovery: the class representative and its measured support.
 
-    For symbolic-constant queries, ``support`` is the best assignment's count
-    and ``frequent_constants`` lists every assignment meeting the threshold.
+    ``frequent_constants`` lists every assignment of the query's symbolic
+    constants meeting the threshold, and ``support`` is the best one's
+    count.  A discovery without symbolic constants holds the one empty
+    assignment ``()``, with its support.
     """
 
     query: ConjunctiveQuery
     support: int
     level: int
-    frequent_constants: GroupedSupport | None = None
+    frequent_constants: GroupedSupport
 
 
 @dataclass(slots=True)
@@ -125,10 +127,11 @@ class MinerState:
 
     ``classes`` maps the shape of every raw query ``class_of`` has keyed to
     its ``(key, representative)`` pair, so a renaming of a query already
-    keyed costs one shape and one lookup.  Phase 1's misses, phase 2 and the
-    reports share the ``canonical_form`` memo; phase 2 alone uses the
-    ``minimize`` memo.  ``parents`` holds the generalization keys of each
-    class ``admission`` walked in full.  All live as long as the state.
+    keyed costs one shape and one lookup.  Phase 2 and the reports share
+    the ``canonical_form`` memo, and phase 2 alone uses the ``minimize``
+    memo; phase 1 uses neither, since its class keys are memoized by shape.
+    ``parents`` holds the generalization keys of each class ``admission``
+    walked in full.  All live as long as the state.
     """
 
     config: MinerConfig
@@ -250,14 +253,13 @@ def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, Conjuncti
     Results are memoized in ``state.classes`` by the query's ``_shape``: a
     renaming of a query already keyed (and, without a key atom, a head
     reordering) has an isomorphic core and so the same key and
-    representative.  A miss minimizes and renders the query through the
-    state's ``canonical_form`` memo.
+    representative.  A miss minimizes and renders the query.
     """
     head_ordered = state.config.key_atom is not None
     shape = _shape(query, head_ordered)
     found = state.classes.get(shape)
     if found is None:
-        found = state.classes[shape] = state.canonical_form(
+        found = state.classes[shape] = canonical_form(
             minimize(query), modulo_head_permutation=not head_ordered
         )
     return found
@@ -457,21 +459,6 @@ def admission(key: str, representative: ConjunctiveQuery, state: MinerState) -> 
     return DEFER
 
 
-def _measure(
-    query: ConjunctiveQuery, instance: Instance, minsup: int
-) -> tuple[int, GroupedSupport | None] | None:
-    """Support of a candidate, or None when it misses the threshold."""
-    if query.symbolic_constants():
-        grouped = support_grouped(query, instance, minsup=minsup)
-        if not grouped:
-            return None
-        return grouped.best(), grouped
-    count = support(query, instance)
-    if count < minsup:
-        return None
-    return count, None
-
-
 def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
     """Mine every frequent query class reachable within the configured language.
 
@@ -504,14 +491,13 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
 
         frequent_keys = []
         for key, query in admitted:
-            outcome = _measure(query, instance, config.minsup)
-            if outcome is None:
+            grouped = support_grouped(query, instance, config.minsup)
+            if not grouped:
                 state.infrequent_index.add(key)
                 continue
-            count, grouped = outcome
             state.frequent_index[key] = QueryRecord(
                 query=query,
-                support=count,
+                support=grouped.best(),
                 level=level_number,
                 frequent_constants=grouped,
             )

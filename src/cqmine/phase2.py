@@ -166,18 +166,16 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
     only a pattern that merges placeholders is minimized, once per group.
     Members keep the support order of ``GroupedSupport.sorted_items``.  A
     consequent text that an earlier member already took is dropped: it is
-    the same query, with the same support.
+    the same query, with the same support.  A discovery without
+    placeholders has the one assignment ``()``, and so is a group of one.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
     for record in state.frequent_records():
         query, grouped = record.query, record.frequent_constants
-        if grouped is None:
-            symbols, items = (), [((), record.support)]
-        else:
-            symbols, items = grouped.symbols, grouped.sorted_items()
+        symbols = grouped.symbols
         patterns: dict[tuple[int, ...], list[tuple[tuple[str, ...], int]]] = {}
-        for assignment, count in items:
+        for assignment, count in grouped.sorted_items():
             first: dict[str, int] = {}
             pattern = tuple(
                 first.setdefault(value, i) for i, value in enumerate(assignment)

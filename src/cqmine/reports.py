@@ -65,7 +65,7 @@ def write_frequent(
     for record in state.frequent_records():
         query = canonical_form(record.query)[0] + "."
         grouped = record.frequent_constants
-        assignments = () if grouped is None else [
+        assignments = () if not grouped.symbols else [
             (
                 values,
                 count,
@@ -87,7 +87,7 @@ def write_frequent(
             f'      "level": {record.level},\n      "constants": '
         )
         opening = ",\n"
-        if grouped is None:
+        if not grouped.symbols:
             run_json.write("null\n    }")
             continue
         symbols = _strings((f"$c{sym.index}" for sym in grouped.symbols), " " * 8)
@@ -183,8 +183,9 @@ def write_text_report(
 ) -> None:
     """Both text reports on one stream, each under a header with its line count."""
     lines = sum(
-        1 if record.frequent_constants is None
-        else 1 + len(record.frequent_constants.counts)
+        1 + len(record.frequent_constants.counts)
+        if record.frequent_constants.symbols
+        else 1
         for record in state.frequent_records()
     )
     out.write(f"# frequent queries: {lines}\n")

@@ -360,10 +360,6 @@ def _reference_consequents(
     consequents: dict[str, tuple[ConjunctiveQuery, int]] = {}
     for record in state.frequent_records():
         grouped = record.frequent_constants
-        if grouped is None:
-            text, representative = state.canonical_form(record.query)
-            consequents.setdefault(text, (representative, record.support))
-            continue
         for assignment, count in grouped.sorted_items():
             query = instantiate(record.query, dict(zip(grouped.symbols, assignment)))
             text, representative = state.canonical_form(state.minimize(query))
@@ -494,9 +490,6 @@ def frequent_supports(
     supports: dict[str, int] = {}
     for record in state.frequent_records():
         grouped = record.frequent_constants
-        if grouped is None:
-            supports[class_key(record.query)] = record.support
-            continue
         for values, count in grouped.sorted_items():
             plugged = instantiate(record.query, dict(zip(grouped.symbols, values)))
             supports[class_key(plugged)] = count

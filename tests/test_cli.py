@@ -383,6 +383,32 @@ def test_missing_data_file_exit_3_names_relation(tmp_path, capsys):
     assert "visits" in capsys.readouterr().err
 
 
+def test_missing_data_directory_exit_3_names_it(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    rc = main(["mine", "--schema", SCHEMA, "--data", str(missing), "--minsup", "2"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and str(missing) in line
+    # the parameters are checked before any data is read
+    for option, value in (("--minsup", "0"), ("--minconf", "2")):
+        argv = ["mine", "--schema", SCHEMA, "--data", str(missing), "--minsup", "2"]
+        assert main([*argv, option, value]) == 3
+        assert str(missing) not in capsys.readouterr().err
+
+
+def test_run_json_records_paths_as_pathlib_renders_them(monkeypatch, capsys):
+    monkeypatch.chdir(BEER)
+    assert main([
+        "mine", "--schema", "./schema.txt", "--data", "./", "--minsup", "40",
+        "--format", "structured",
+    ]) == 0
+    parameters = json.loads(capsys.readouterr().out)["parameters"]
+    assert parameters["schema"] == "schema.txt"
+    assert parameters["data"] == "."
+
+
 # file written over the small valid input, and what the error line names
 BAD_RUNS = {
     "schema-not-utf8": (

@@ -121,11 +121,6 @@ def test_grouped_matches_instantiation(beer_instance):
     assert checked > 30
 
 
-def test_grouped_rejects_plain_query(beer_instance):
-    with pytest.raises(QueryError):
-        support_grouped(Q("Q(x) :- likes(x, y)"), beer_instance)
-
-
 # ---------------------------------------------------------------------------
 # agreement with brute-force valuation enumeration
 # ---------------------------------------------------------------------------
@@ -203,6 +198,7 @@ def test_disconnected_supports_match_enumeration(beer_schema, beer_instance):
 @pytest.mark.parametrize(
     "text, expected",
     [
+        ("Q(y) :- likes(x, y), visits(x, 'California')", 2),
         # a component without head variables only has to be satisfiable
         ("Q(x) :- likes(x, y), visits(z, w)", 3),
         ("Q(x) :- likes(x, y), visits(z, 'Nowhere')", 0),
@@ -217,6 +213,11 @@ def test_component_shapes_plain(beer_instance, text, expected):
     q = Q(text)
     assert support(q, beer_instance) == expected
     assert expected == _oracle.support_naive(q, beer_instance.tables)
+    # the one grouped count: a plain query is the empty assignment, absent
+    # when a factor is zero
+    grouped = support_grouped(q, beer_instance)
+    assert grouped.symbols == ()
+    assert grouped.counts == ({(): expected} if expected else {})
 
 
 @pytest.mark.parametrize(

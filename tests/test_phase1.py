@@ -472,7 +472,6 @@ def test_run_symbolic_descent_record(beer_run):
     assert record is not None
     assert record.level == 5
     assert record.support == 3
-    assert record.frequent_constants is not None
     assert record.frequent_constants.sorted_items() == [
         (("Duvel",), 3),
         (("Trappist",), 2),
@@ -490,22 +489,19 @@ def test_run_single_atom_language(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=1))
     table = {}
     for record in state.frequent_records():
-        assignments = (
-            record.frequent_constants.sorted_items()
-            if record.frequent_constants
-            else None
-        )
+        assignments = record.frequent_constants.sorted_items()
         table[render_query(record.query)] = (record.level, record.support, assignments)
+    # a plain discovery holds the one empty assignment, with its support
     assert table == {
-        "Q(x1, x2) :- likes(x1, x2).": (1, 6, None),
-        "Q(x1, x2) :- serves(x1, x2).": (1, 6, None),
-        "Q(x1, x2) :- visits(x1, x2).": (1, 6, None),
-        "Q(x1) :- likes(x1, x2).": (2, 3, None),
-        "Q(x1) :- likes(x2, x1).": (2, 3, None),
-        "Q(x1) :- serves(x1, x2).": (2, 3, None),
-        "Q(x1) :- serves(x2, x1).": (2, 3, None),
-        "Q(x1) :- visits(x1, x2).": (2, 3, None),
-        "Q(x1) :- visits(x2, x1).": (2, 3, None),
+        "Q(x1, x2) :- likes(x1, x2).": (1, 6, [((), 6)]),
+        "Q(x1, x2) :- serves(x1, x2).": (1, 6, [((), 6)]),
+        "Q(x1, x2) :- visits(x1, x2).": (1, 6, [((), 6)]),
+        "Q(x1) :- likes(x1, x2).": (2, 3, [((), 3)]),
+        "Q(x1) :- likes(x2, x1).": (2, 3, [((), 3)]),
+        "Q(x1) :- serves(x1, x2).": (2, 3, [((), 3)]),
+        "Q(x1) :- serves(x2, x1).": (2, 3, [((), 3)]),
+        "Q(x1) :- visits(x1, x2).": (2, 3, [((), 3)]),
+        "Q(x1) :- visits(x2, x1).": (2, 3, [((), 3)]),
         "Q(x1) :- likes($c1, x1).": (3, 3, [(("Bill",), 3), (("Allen",), 2)]),
         "Q(x1) :- likes(x1, $c1).": (3, 3, [(("Duvel",), 3), (("Trappist",), 2)]),
         "Q(x1) :- serves($c1, x1).": (3, 3, [(("Cheers",), 3), (("California",), 2)]),
@@ -649,3 +645,15 @@ def test_run_keys_most_classes_from_the_memo(beer_instance, monkeypatch):
     assert state.frequent_index
     assert calls["minimize"] == len(state.classes)
     assert calls["minimize"] < calls["class_of"] / 2
+
+
+@pytest.mark.parametrize("anchored", [False, True])
+def test_run_leaves_the_canonical_form_memo_empty(beer_instance, beer_schema, anchored):
+    # phase 1 memoizes class keys by shape; the canonical-form memo is for
+    # phase 2 and the reports, which never ask for phase 1's keys
+    key_atom = parse_key_atom("likes(_, _)", beer_schema) if anchored else None
+    state = run_phase1(
+        beer_instance, MinerConfig(minsup=2, max_atoms=2, key_atom=key_atom)
+    )
+    assert state.frequent_index and state.classes
+    assert state.canonical_form.cache_info().currsize == 0

@@ -196,8 +196,7 @@ def test_instantiated_consequent_uses_grouped_count(maxtwo_state, rules_exact):
     record = next(
         r
         for r in maxtwo_state.frequent_records()
-        if r.frequent_constants is not None
-        and render_query(r.query) == "Q(x1) :- likes(x1, $c1)."
+        if render_query(r.query) == "Q(x1) :- likes(x1, $c1)."
     )
     assert record.frequent_constants.counts[("Duvel",)] == 3
     rule = find_rule(
@@ -346,9 +345,6 @@ def test_supports_held_from_phase_one_are_not_counted_again(
     consequents = set()
     for record in maxtwo_state.frequent_records():
         grouped = record.frequent_constants
-        if grouped is None:
-            consequents.add(ordered_key(record.query))
-            continue
         for assignment in grouped.counts:
             mapping = dict(zip(grouped.symbols, assignment))
             consequents.add(ordered_key(instantiate(record.query, mapping)))

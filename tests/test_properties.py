@@ -6,7 +6,9 @@ named; the text must be the least rendering over all atom orders, as the
 enumerating oracle finds it; minimization must reach a fixed point that is
 equivalent to its input.  Phase 1 memoizes class keys by a shape that
 ignores the same names, which is sound only if renamed copies of a query get
-the class its own minimization and canonical form would give.
+the class its own minimization and canonical form would give.  Every
+support is one grouped count, which for a query without placeholders must
+be its answer count at the one empty assignment.
 """
 
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import _oracle
 from cqmine.containment import is_equivalent, minimize
+from cqmine.evaluation import support, support_grouped
 from cqmine.phase1 import MinerConfig, MinerState, _shape, class_of
 from cqmine.queries import (
     Atom,
@@ -27,7 +30,7 @@ from cqmine.queries import (
     instantiate,
     substitute_terms,
 )
-from cqmine.relational import Schema
+from cqmine.relational import Instance, RelationDecl, Schema
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -185,3 +188,38 @@ def test_minimize_is_idempotent_and_equivalent(query):
     # homomorphism may move
     pinned = {s: f"#{s.index}" for s in query.symbolic_constants()}
     assert is_equivalent(instantiate(query, pinned), instantiate(reduced, pinned))
+
+
+SCHEMA = Schema(
+    tuple(RelationDecl(name, ("a", "b")) for name, _ in _oracle.RELATIONS)
+)
+# the queries' literal constants and one value no query names
+VALUES = [*_oracle.CONSTANT_POOL, "other"]
+
+
+@st.composite
+def instances(draw):
+    rows = st.frozensets(st.tuples(*[st.sampled_from(VALUES)] * 2), max_size=8)
+    return Instance(SCHEMA, {name: draw(rows) for name, _ in _oracle.RELATIONS})
+
+
+def without_placeholders(query):
+    """The query with each placeholder made a variable of its own."""
+    mapping = {s: Variable(f"z{s.index}") for s in query.symbolic_constants()}
+    return ConjunctiveQuery(query.head, substitute_terms(query.body, mapping))
+
+
+@PROPERTY
+@given(queries(), instances(), st.integers(1, 4))
+def test_support_is_the_grouped_count_of_the_empty_assignment(query, instance, minsup):
+    plain = without_placeholders(query)
+    grouped = support_grouped(plain, instance)
+    assert grouped.symbols == ()
+    count = _oracle.support_naive(plain, instance.tables)
+    assert support(plain, instance) == grouped.counts.get((), 0) == count
+    # a threshold drops exactly the assignments counted below it
+    for counted in (plain, query):
+        every = support_grouped(counted, instance).counts
+        assert support_grouped(counted, instance, minsup).counts == {
+            values: n for values, n in every.items() if n >= minsup
+        }

@@ -37,6 +37,7 @@ from .queries import (
     canonical_form,
     fresh_symbolic_constant,
     fresh_variable,
+    instantiate,
     substitute_terms,
 )
 from .relational import Instance, Schema
@@ -104,12 +105,26 @@ class QueryRecord:
     constants meeting the threshold, and ``support`` is the best one's
     count.  A discovery without symbolic constants holds the one empty
     assignment ``()``, with its support.
+
+    ``texts`` holds the canonical text, head order kept, of the query
+    instantiated at each frequent assignment, in ``sorted_items`` order; a
+    discovery without symbolic constants holds its own text.  Each instance
+    is rendered here, once, and phase 2 and the reports read the text.
     """
 
     query: ConjunctiveQuery
     support: int
     level: int
     frequent_constants: GroupedSupport
+    texts: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        symbols = self.frequent_constants.symbols
+        texts = tuple(
+            canonical_form(instantiate(self.query, dict(zip(symbols, values))))[0]
+            for values, _ in self.frequent_constants.sorted_items()
+        )
+        object.__setattr__(self, "texts", texts)
 
 
 @dataclass(slots=True)
@@ -127,11 +142,12 @@ class MinerState:
 
     ``classes`` maps the shape of every raw query ``class_of`` has keyed to
     its ``(key, representative)`` pair, so a renaming of a query already
-    keyed costs one shape and one lookup.  Phase 2 and the reports share
-    the ``canonical_form`` memo, and phase 2 alone uses the ``minimize``
-    memo; phase 1 uses neither, since its class keys are memoized by shape.
-    ``parents`` holds the generalization keys of each class ``admission``
-    walked in full.  All live as long as the state.
+    keyed costs one shape and one lookup.  The ``canonical_form`` and
+    ``minimize`` memos serve phase 2's generalization steps alone, the
+    renderings that many walks ask for again; phase 1 keys classes by shape,
+    and one-off renderings, such as each record's ``texts``, go through the
+    plain functions.  ``parents`` holds the generalization keys of each
+    class ``admission`` walked in full.  All live as long as the state.
     """
 
     config: MinerConfig

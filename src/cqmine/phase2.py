@@ -57,6 +57,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
+from .containment import minimize
 from .errors import ConfigError
 from .evaluation import support, support_grouped
 from .generalization import atom_removals, splits
@@ -65,6 +66,7 @@ from .queries import (
     ConjunctiveQuery,
     Constant,
     SymbolicConstant,
+    canonical_form,
     instantiate,
     substitute_terms,
 )
@@ -115,22 +117,16 @@ class AssociationRule:
 
     Both sides are ``render_query`` texts.  ``support`` is the consequent's
     support; ``confidence`` is the exact ratio of the two sides' supports.
+    Phase 2 builds a rule only from supports it has just tested, so the
+    fields are not checked again: the support is at least ``minsup``, and
+    the confidence passed the exact ``minconf`` test (or is 1, for a
+    trivial rule).
     """
 
     antecedent: str
     consequent: str
     support: int
     confidence: Fraction
-
-    def __post_init__(self) -> None:
-        if self.support < 1:
-            raise ConfigError(f"rule support must be positive, got {self.support}")
-        if not 0 < self.confidence <= 1:
-            raise ConfigError(
-                f"rule confidence must lie in (0, 1], got {self.confidence}"
-            )
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -168,25 +164,34 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
     consequent text that an earlier member already took is dropped: it is
     the same query, with the same support.  A discovery without
     placeholders has the one assignment ``()``, and so is a group of one.
+
+    A member's text is its record's rendering of the instance, except in a
+    merging pattern: there the record shows the raw instantiation, while
+    the consequent is its minimized class, so those members are rendered
+    from the minimized pattern.  Elsewhere only each group's first member is
+    rendered, for the form its walk starts from.  One-off renderings go
+    through the plain ``canonical_form`` and ``minimize``, not the run's
+    memos.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
     for record in state.frequent_records():
         query, grouped = record.query, record.frequent_constants
         symbols = grouped.symbols
-        patterns: dict[tuple[int, ...], list[tuple[tuple[str, ...], int]]] = {}
-        for assignment, count in grouped.sorted_items():
+        patterns: dict[tuple[int, ...], list[tuple[tuple[str, ...], int, str]]] = {}
+        for (assignment, count), text in zip(grouped.sorted_items(), record.texts):
             first: dict[str, int] = {}
             pattern = tuple(
                 first.setdefault(value, i) for i, value in enumerate(assignment)
             )
-            patterns.setdefault(pattern, []).append((assignment, count))
+            patterns.setdefault(pattern, []).append((assignment, count, text))
         for pattern, members in patterns.items():
             free = [i for i, label in enumerate(pattern) if label == i]
+            merging = len(free) < len(pattern)
             pattern_query = query
-            if len(free) < len(pattern):
+            if merging:
                 merge = dict(zip(symbols, (symbols[label] for label in pattern)))
-                pattern_query = state.minimize(
+                pattern_query = minimize(
                     ConjunctiveQuery(query.head, substitute_terms(query.body, merge))
                 )
             base, origin = None, ()
@@ -194,11 +199,12 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
             counts: list[int] = []
             renamings: list[dict[Constant, Constant]] = []
             free_symbols = [symbols[i] for i in free]
-            for assignment, count in members:
+            for assignment, count, text in members:
                 values = tuple(assignment[i] for i in free)
-                text, form = state.canonical_form(
-                    instantiate(pattern_query, dict(zip(free_symbols, values)))
-                )
+                if merging or (base is None and text not in claimed):
+                    text, form = canonical_form(
+                        instantiate(pattern_query, dict(zip(free_symbols, values)))
+                    )
                 if text in claimed:
                     continue
                 claimed.add(text)
@@ -230,7 +236,8 @@ def _steps_of(
     minimized, its minimized class, and the class's constants in order, in
     generation order (atom removals, then splits).
     ``form`` is a canonical rendering, so ``form_text`` determines it.  Both
-    renderings go through the state's memos, which also serve other walks.
+    renderings go through the state's memos, which serve nothing else: steps
+    of different forms share many raw bodies and classes.
     """
     steps = table.get(form_text)
     if steps is None:
@@ -280,7 +287,10 @@ def _rules_for_group(
     ) -> int:
         """The members in ``undecided`` whose rule from ``antecedent`` is
         confident.  Their rules are emitted here, the only time each member
-        meets this antecedent class."""
+        meets this antecedent class.  A member's own instantiation of an
+        antecedent with constants is rendered by the plain ``canonical_form``
+        and kept in the grouped count's ``rendered`` dict, the per-run cache
+        of those texts."""
         if constants and undecided != 1:
             # members other than the representative see other constants
             reopen = {c: SymbolicConstant(i) for i, c in enumerate(constants, 1)}
@@ -321,7 +331,7 @@ def _rules_for_group(
                         antecedent.head,
                         substitute_terms(antecedent.body, renamings[member]),
                     )
-                    text = rendered[key] = state.canonical_form(renamed)[0]
+                    text = rendered[key] = canonical_form(renamed)[0]
             count = counts[member]
             confidence = Fraction(count, antecedent_support)
             consequent = texts[member] + "."

@@ -4,8 +4,9 @@
 (confidences as numerator/denominator).  The text reports, line-oriented and
 tab-separated so they can be diffed and grepped, show the same queries and
 numbers.  All three are written in one pass over the frequent records and
-one pass over the rules, so each query is rendered once and no report is
-held in memory.
+one pass over the rules, and no report is held in memory.  The writer
+renders nothing it can read: each frequent instance is the record's text,
+and each rule side is the rule's text.
 
 ``run.json`` is byte for byte what ``json.dump(..., indent=2,
 ensure_ascii=False)`` would write for the same document: its fixed-shape
@@ -22,7 +23,7 @@ from typing import Any, Iterable, TextIO
 
 from .phase1 import MinerState
 from .phase2 import AssociationRule
-from .queries import instantiate
+from .queries import canonical_form
 
 __all__ = [
     "write_frequent",
@@ -56,25 +57,24 @@ def write_frequent(
     for a discovery with constant placeholders one indented line per
     frequent assignment, showing the instantiated query with its own
     support; the discovery's headline support is the best assignment's.
-    ``run_json`` gets the ``frequent`` array of ``run.json``.  Queries are
-    rendered through the run's canonical-form memo, which phase 2 has mostly
-    filled.
+    ``run_json`` gets the ``frequent`` array of ``run.json``.  Each instance
+    is the record's own text; only the headline of a discovery with
+    placeholders is rendered here.
     """
-    canonical_form = state.canonical_form
     opening = "[\n"
     for record in state.frequent_records():
-        query = canonical_form(record.query)[0] + "."
         grouped = record.frequent_constants
-        assignments = () if not grouped.symbols else [
-            (
-                values,
-                count,
-                canonical_form(
-                    instantiate(record.query, dict(zip(grouped.symbols, values)))
-                )[0] + ".",
-            )
-            for values, count in grouped.sorted_items()
-        ]
+        if grouped.symbols:
+            query = canonical_form(record.query)[0] + "."
+            assignments = [
+                (values, count, instance + ".")
+                for (values, count), instance in zip(
+                    grouped.sorted_items(), record.texts
+                )
+            ]
+        else:
+            query = record.texts[0] + "."
+            assignments = ()
         if text is not None:
             text.write(f"{record.support}\t{query}\n")
             for _, count, instance in assignments:

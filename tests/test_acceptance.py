@@ -13,6 +13,7 @@ subsets) and counts answers by brute-force valuation enumeration.
 
 from __future__ import annotations
 
+import bisect
 import os
 import random
 import subprocess
@@ -260,9 +261,13 @@ def test_05_phase_one_matches_oracle(oracle_classes, state2):
         assert len(oracle) == 1339
 
 
-def test_phase_one_matches_oracle_at_three_atoms():
-    # criterion 5 covers two atoms over the beer data; here the whole
-    # three-atom language of one binary relation, constants included
+@pytest.fixture(scope="module")
+def three_atom_language():
+    """The whole three-atom language of one binary relation, constants included.
+
+    Returns the instance, the mining config, the oracle's class-key function
+    and, per class key, a representative and its brute-force support.
+    """
     schema = Schema((RelationDecl("r", ("a", "b")),))
     instance = Instance(schema, {"r": {("p", "q"), ("q", "p"), ("p", "p")}})
     config = MinerConfig(minsup=2, max_atoms=3)
@@ -273,14 +278,21 @@ def test_phase_one_matches_oracle_at_three_atoms():
         return class_of(query, oracle_state)[0]
 
     tables = dict(instance.tables)
-    supports: dict[str, int] = {}
+    classes: dict[str, tuple[ConjunctiveQuery, int]] = {}
     for query in _oracle.language_queries(schema, instance, max_atoms=3):
         query_key = key(query)
-        if query_key not in supports:
-            supports[query_key] = _oracle.support_naive(query, tables)
-    oracle = {query_key: sup for query_key, sup in supports.items() if sup >= 2}
+        if query_key not in classes:
+            classes[query_key] = (query, _oracle.support_naive(query, tables))
+    return instance, config, key, classes
+
+
+def test_phase_one_matches_oracle_at_three_atoms(three_atom_language):
+    # criterion 5 covers two atoms over the beer data; here the whole
+    # three-atom language of one binary relation, constants included
+    instance, config, key, classes = three_atom_language
+    oracle = {query_key: sup for query_key, (_, sup) in classes.items() if sup >= 2}
     assert _oracle.frequent_supports(run_phase1(instance, config), key) == oracle
-    assert (len(supports), len(oracle)) == (1971, 1505)
+    assert (len(classes), len(oracle)) == (1971, 1505)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +366,37 @@ def test_phase_two_matches_oracle_between_half_and_one(
     got = {tuple(class_key(q) for q in _oracle.rule_queries(rule)) for rule in rules}
     assert got == expected
     assert 4814 < len(expected) < 6968
+
+
+@pytest.mark.slow
+def test_phase_two_matches_oracle_at_three_atoms(three_atom_language):
+    # criterion 6's all-pairs sweep over the three-atom language's 1,505
+    # frequent classes.  A rule is confident exactly when its antecedent's
+    # support is at most the consequent's divided by minconf, and never
+    # below the consequent's, so only antecedents in that range are checked
+    instance, config, key, classes = three_atom_language
+    minconf = Fraction(1, 2)
+    by_arity = defaultdict(list)
+    for query_key, (query, sup) in classes.items():
+        if sup >= config.minsup:
+            by_arity[len(query.head)].append((sup, query_key, query))
+    expected = set()
+    for group in by_arity.values():
+        group.sort(key=lambda entry: entry[0])
+        supports = [sup for sup, _, _ in group]
+        for cons_sup, cons_key, cons in group:
+            expected.add((cons_key, cons_key))
+            ceiling = cons_sup * minconf.denominator // minconf.numerator
+            low = bisect.bisect_left(supports, cons_sup)
+            high = bisect.bisect_right(supports, ceiling)
+            for _, ante_key, ante in group[low:high]:
+                if ante_key != cons_key and is_diagonally_contained(cons, ante):
+                    expected.add((ante_key, cons_key))
+    state = run_phase1(instance, config)
+    rules = run_phase2(state, instance, RuleConfig(minconf, include_trivial=True))
+    got = {tuple(key(q) for q in _oracle.rule_queries(rule)) for rule in rules}
+    assert got == expected
+    assert len(expected) == 24049
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 import csv
 import hashlib
+import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -173,6 +175,47 @@ def test_three_atom_report_bytes_are_pinned(extra, tmp_path):
         for name in ("frequent.txt", "rules.txt", "run.json")
     )
     assert digests == PINNED_THREE_ATOM_REPORTS[extra]
+
+
+# the benchmark's workloads, run as perfbench/run.py runs them: data in
+# ``data`` under a scratch directory (the bundled fixture, or perfbench/gen.py
+# at the default seed), mine flags and report digests from workloads.json
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+WORKLOADS = json.loads((PERFBENCH / "workloads.json").read_text(encoding="utf-8"))
+
+
+def bench_generator():
+    spec = importlib.util.spec_from_file_location("perfbench_gen", PERFBENCH / "gen.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS["workloads"]))
+def test_bench_workload_bytes_are_pinned(name, tmp_path):
+    workload = WORKLOADS["workloads"][name]
+    source = workload["data"]
+    if "fixture" in source:
+        shutil.copytree(PERFBENCH.parent / source["fixture"], tmp_path / "data")
+    else:
+        bench_generator().generate(
+            tmp_path / "data", seed=WORKLOADS["default_seed"], **source["generator"]
+        )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "data/schema.txt",
+            "--data", "data", "--out-dir", "out", *workload["mine"],
+        ],
+        capture_output=True,
+        cwd=tmp_path,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = {
+        report: hashlib.sha256((tmp_path / "out" / report).read_bytes()).hexdigest()
+        for report in workload["digests"]
+    }
+    assert digests == workload["digests"]
 
 
 # sha256 of frequent.txt, rules.txt and run.json of the large beer run

@@ -25,10 +25,10 @@ from cqmine.phase1 import (
     parse_key_atom,
     run_phase1,
 )
-from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
+from cqmine.phase2 import RuleConfig, run_phase2
 from cqmine.queries import canonical_form, instantiate, parse_query, render_query
 from cqmine.relational import Instance, RelationDecl, Schema
-from cqmine.reports import write_reports
+from cqmine.reports import write_frequent, write_reports
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,14 +111,6 @@ def test_minconf_coerced_to_exact_fraction():
     assert RuleConfig(0.75).minconf == Fraction(3, 4)
     assert RuleConfig(1).minconf == Fraction(1)
     assert RuleConfig(1).include_trivial is False
-
-
-def test_rule_fields_validated():
-    q = "Q(x1) :- likes(x1, x2)."
-    with pytest.raises(ConfigError):
-        AssociationRule(q, q, 0, Fraction(1))
-    with pytest.raises(ConfigError):
-        AssociationRule(q, q, 3, Fraction(2))
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +385,11 @@ def test_rules_match_the_per_assignment_walk(
 ):
     config = RuleConfig(minconf, include_trivial)
     expected = reference_rules(maxtwo_state, beer_instance, config)
-    assert run_phase2(maxtwo_state, beer_instance, config) == expected
+    rules = run_phase2(maxtwo_state, beer_instance, config)
+    assert rules == expected
+    # rules are built unchecked, from supports phase 2 has just tested
+    assert all(rule.support >= 1 for rule in rules)
+    assert all(minconf <= rule.confidence <= 1 for rule in rules)
 
 
 def test_rules_match_the_per_assignment_walk_at_three_atoms():
@@ -469,6 +465,101 @@ def test_equal_values_form_a_group_of_their_own():
         assert run_phase2(state, instance, config) == reference_rules(
             state, instance, config
         )
+
+
+# ---------------------------------------------------------------------------
+# each frequent instance rendered once
+# ---------------------------------------------------------------------------
+
+
+def instance_queries(record):
+    """The record's query instantiated at each frequent assignment, in order."""
+    grouped = record.frequent_constants
+    return [
+        instantiate(record.query, dict(zip(grouped.symbols, values)))
+        for values, _ in grouped.sorted_items()
+    ]
+
+
+def test_records_carry_each_instance_text(maxtwo_state):
+    redundant = 0
+    for record in maxtwo_state.frequent_records():
+        instances = instance_queries(record)
+        assert record.texts == tuple(canonical_form(q)[0] for q in instances)
+        # an assignment that repeats a value can make an atom redundant: the
+        # record keeps the raw instance's text, a rule its minimized class
+        redundant += sum(
+            canonical_form(minimize(q))[0] != canonical_form(q)[0] for q in instances
+        )
+    assert redundant == 13
+
+
+def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch):
+    rendered, instantiated = [], []
+
+    def rendering(query, **options):
+        rendered.append(query)
+        return canonical_form(query, **options)
+
+    def instantiating(query, assignment):
+        instantiated.append(query)
+        return instantiate(query, assignment)
+
+    monkeypatch.setattr(cqmine.reports, "canonical_form", rendering)
+    for module in (cqmine.queries, cqmine.phase1, cqmine.phase2):
+        monkeypatch.setattr(module, "instantiate", instantiating)
+    # phase 2 has run on this state (``rules_half``) and filled its memo,
+    # which the writer neither reads nor fills
+    memo = maxtwo_state.canonical_form.cache_info()
+    frequent_txt = io.StringIO()
+    write_frequent(maxtwo_state, frequent_txt, io.StringIO())
+    assert not hasattr(cqmine.reports, "instantiate")
+    assert instantiated == []
+    assert maxtwo_state.canonical_form.cache_info() == memo
+    # one rendering per discovery with placeholders: its headline
+    records = maxtwo_state.frequent_records()
+    assert rendered == [r.query for r in records if r.frequent_constants.symbols]
+    assert len(rendered) == 294
+    lines = frequent_txt.getvalue().splitlines()
+    instances = [line for line in lines if line.startswith("  ")]
+    assert instances == [
+        f"  {count}\t{canonical_form(query)[0]}."
+        for record in records
+        if record.frequent_constants.symbols
+        for (_, count), query in zip(
+            record.frequent_constants.sorted_items(), instance_queries(record)
+        )
+    ]
+
+
+def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch):
+    calls = []
+
+    def instantiating(query, assignment):
+        calls.append((query, assignment))
+        return instantiate(query, assignment)
+
+    monkeypatch.setattr(cqmine.phase2, "instantiate", instantiating)
+    groups = cqmine.phase2._consequent_groups(maxtwo_state)
+    records = maxtwo_state.frequent_records()
+    # a call on a record's own query renders a group's first member, for
+    # the form its walk starts from; any other call is on a minimized
+    # pattern that merges placeholders, once per member of such a pattern
+    on_records = [
+        (query, assignment)
+        for query, assignment in calls
+        if any(query is record.query for record in records)
+    ]
+    bases = [canonical_form(instantiate(*call))[0] for call in on_records]
+    assert len(set(bases)) == len(bases)
+    assert set(bases) <= {group.texts[0] for group in groups}
+    merging_members = sum(
+        len(set(values)) < len(values)
+        for record in records
+        for values in record.frequent_constants.counts
+    )
+    assert len(calls) - len(on_records) == merging_members
+    assert len(calls) < sum(len(record.texts) for record in records)
 
 
 # ---------------------------------------------------------------------------

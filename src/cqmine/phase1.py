@@ -37,7 +37,7 @@ from .queries import (
     canonical_form,
     fresh_symbolic_constant,
     fresh_variable,
-    instantiate,
+    instance_texts,
     substitute_terms,
 )
 from .relational import Instance, Schema
@@ -109,7 +109,8 @@ class QueryRecord:
     ``texts`` holds the canonical text, head order kept, of the query
     instantiated at each frequent assignment, in ``sorted_items`` order; a
     discovery without symbolic constants holds its own text.  Each instance
-    is rendered here, once, and phase 2 and the reports read the text.
+    is rendered here, once, by ``instance_texts``, and phase 2 and the
+    reports read the text.
     """
 
     query: ConjunctiveQuery
@@ -119,10 +120,9 @@ class QueryRecord:
     texts: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        symbols = self.frequent_constants.symbols
-        texts = tuple(
-            canonical_form(instantiate(self.query, dict(zip(symbols, values))))[0]
-            for values, _ in self.frequent_constants.sorted_items()
+        grouped = self.frequent_constants
+        texts = instance_texts(
+            self.query, grouped.symbols, [values for values, _ in grouped.sorted_items()]
         )
         object.__setattr__(self, "texts", texts)
 

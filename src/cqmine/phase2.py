@@ -46,14 +46,22 @@ from the support table; otherwise one grouped count of the antecedent with
 its constants re-opened as placeholders, made once per run for each
 re-opened query and without a minimum support, serves every member of
 every group that reaches it.  Rule sides are always the instantiated
-queries' own canonical texts, never text substituted into a rendering:
-instantiation can reorder the least rendering.
+queries' own canonical texts, made by ``canonical_text`` or read from the
+records, whose ``instance_texts`` puts values into one rendering only where
+no relation repeats: elsewhere instantiation can reorder the least
+rendering.
+
+Rules share their parts.  Each member's printed consequent is made once,
+each printed antecedent once per run, and each confidence is one
+``Fraction`` per ``(count, antecedent_support)`` pair.  Rules are collected
+in one bucket per confidence, so ordering them sorts each bucket by its
+texts and compares no ``Fraction`` per rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
@@ -67,6 +75,7 @@ from .queries import (
     Constant,
     SymbolicConstant,
     canonical_form,
+    canonical_text,
     instantiate,
     substitute_terms,
 )
@@ -115,12 +124,15 @@ class RuleConfig:
 class AssociationRule:
     """``antecedent => consequent`` over queries with identical heads.
 
-    Both sides are ``render_query`` texts.  ``support`` is the consequent's
-    support; ``confidence`` is the exact ratio of the two sides' supports.
-    Phase 2 builds a rule only from supports it has just tested, so the
-    fields are not checked again: the support is at least ``minsup``, and
-    the confidence passed the exact ``minconf`` test (or is 1, for a
-    trivial rule).
+    Both sides are canonical texts, head order kept, with the trailing
+    period they are printed with.  ``support`` is the consequent's support;
+    ``confidence`` is the exact ratio of the two sides' supports.  Phase 2
+    builds a rule only from supports it has just tested, so the fields are
+    not checked again: the support is at least ``minsup``, and the
+    confidence passed the exact ``minconf`` test (or is 1, for a trivial
+    rule).  The rules of a run share their equal parts as one object each
+    (see ``_Rules``).  A slotted instance takes 64 bytes, a tuple or
+    ``NamedTuple`` of the four fields 72.
     """
 
     antecedent: str
@@ -167,11 +179,11 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
 
     A member's text is its record's rendering of the instance, except in a
     merging pattern: there the record shows the raw instantiation, while
-    the consequent is its minimized class, so those members are rendered
-    from the minimized pattern.  Elsewhere only each group's first member is
-    rendered, for the form its walk starts from.  One-off renderings go
-    through the plain ``canonical_form`` and ``minimize``, not the run's
-    memos.
+    the consequent is its minimized class, so those members' texts are
+    rendered from the minimized pattern by ``canonical_text``.  Only each
+    group's first member gets a full ``canonical_form``, for the form its
+    walk starts from.  One-off renderings go through the plain functions,
+    not the run's memos.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
@@ -201,15 +213,18 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
             free_symbols = [symbols[i] for i in free]
             for assignment, count, text in members:
                 values = tuple(assignment[i] for i in free)
-                if merging or (base is None and text not in claimed):
-                    text, form = canonical_form(
-                        instantiate(pattern_query, dict(zip(free_symbols, values)))
+                if merging:
+                    text = canonical_text(
+                        pattern_query, dict(zip(free_symbols, map(Constant, values)))
                     )
                 if text in claimed:
                     continue
                 claimed.add(text)
                 if base is None:
-                    base, origin = form, values
+                    base = canonical_form(
+                        instantiate(pattern_query, dict(zip(free_symbols, values)))
+                    )[1]
+                    origin = values
                 texts.append(text)
                 counts.append(count)
                 renamings.append(
@@ -253,8 +268,57 @@ def _steps_of(
     return steps
 
 
+@dataclass(slots=True)
+class _Rules:
+    """The run's rules, one bucket per confidence, and the parts they share.
+
+    ``dotted`` maps an antecedent's canonical text to its printed form, and
+    ``confidences`` maps ``(count, antecedent_support)`` to its ``Fraction``
+    and that confidence's bucket in ``buckets``.  A rule so costs two
+    lookups by plain keys and no ``Fraction`` hash, and equal parts of
+    different rules are one object.
+    """
+
+    dotted: dict[str, str] = field(default_factory=dict)
+    confidences: dict[tuple[int, int], tuple[Fraction, list[AssociationRule]]] = (
+        field(default_factory=dict)
+    )
+    buckets: dict[Fraction, list[AssociationRule]] = field(default_factory=dict)
+
+    def dot(self, text: str) -> str:
+        dotted = self.dotted.get(text)
+        if dotted is None:
+            dotted = self.dotted[text] = text + "."
+        return dotted
+
+    def add(
+        self, antecedent: str, consequent: str, count: int, antecedent_support: int
+    ) -> None:
+        key = (count, antecedent_support)
+        part = self.confidences.get(key)
+        if part is None:
+            confidence = Fraction(count, antecedent_support)
+            part = self.confidences[key] = (
+                confidence,
+                self.buckets.setdefault(confidence, []),
+            )
+        part[1].append(AssociationRule(antecedent, consequent, count, part[0]))
+
+    def ordered(self) -> list[AssociationRule]:
+        """Every rule, by descending confidence, then antecedent and
+        consequent text: each bucket holds its rules in the order they were
+        made, so this is the order of a stable sort by those keys."""
+        self.confidences.clear()  # so each bucket goes once it is copied
+        rules: list[AssociationRule] = []
+        for confidence in sorted(self.buckets, reverse=True):
+            bucket = self.buckets.pop(confidence)
+            bucket.sort(key=attrgetter("antecedent", "consequent"))
+            rules += bucket
+        return rules
+
+
 # a grouped count of an antecedent with its constants re-opened: the support
-# per tuple of values, and the canonical texts of the instantiations rendered
+# per tuple of values, and the printed texts of the instantiations rendered
 # so far, by the same tuples
 _Counted = tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], str]]
 
@@ -267,13 +331,15 @@ def _rules_for_group(
     supports: dict[str, int],
     grouped: dict[ConjunctiveQuery, _Counted],
     table: dict[str, list[_Step]],
-) -> list[AssociationRule]:
+    rules: _Rules,
+) -> None:
     texts, counts, renamings = group.texts, group.counts, group.renamings
     base_text = texts[0]
-    rules: list[AssociationRule] = []
+    consequents = [text + "." for text in texts]
+    dot, add = rules.dot, rules.add
     if config.include_trivial:
-        for text, count in zip(texts, counts):
-            rules.append(AssociationRule(text + ".", text + ".", count, Fraction(1)))
+        for consequent, count in zip(consequents, counts):
+            add(consequent, consequent, count, count)
     # member ``i``'s confidence ``counts[i] / antecedent_support`` reaches
     # ``minconf`` exactly when ``numerator * antecedent_support <= cuts[i]``
     numerator = config.minconf.numerator
@@ -288,9 +354,9 @@ def _rules_for_group(
         """The members in ``undecided`` whose rule from ``antecedent`` is
         confident.  Their rules are emitted here, the only time each member
         meets this antecedent class.  A member's own instantiation of an
-        antecedent with constants is rendered by the plain ``canonical_form``
-        and kept in the grouped count's ``rendered`` dict, the per-run cache
-        of those texts."""
+        antecedent with constants is rendered by ``canonical_text`` and kept
+        in the grouped count's ``rendered`` dict, the per-run cache of those
+        texts."""
         if constants and undecided != 1:
             # members other than the representative see other constants
             reopen = {c: SymbolicConstant(i) for i, c in enumerate(constants, 1)}
@@ -322,20 +388,16 @@ def _rules_for_group(
             if numerator * antecedent_support > cuts[member]:
                 continue
             confident |= low
-            text = antecedent_text
             if member and constants:
                 # the member's own instantiation, rendered once per run
                 text = rendered.get(key)
                 if text is None:
-                    renamed = ConjunctiveQuery(
-                        antecedent.head,
-                        substitute_terms(antecedent.body, renamings[member]),
+                    text = rendered[key] = dot(
+                        canonical_text(antecedent, renamings[member])
                     )
-                    text = rendered[key] = canonical_form(renamed)[0]
-            count = counts[member]
-            confidence = Fraction(count, antecedent_support)
-            consequent = texts[member] + "."
-            rules.append(AssociationRule(text + ".", consequent, count, confidence))
+            else:
+                text = dot(antecedent_text)
+            add(text, consequents[member], counts[member], antecedent_support)
         return confident
 
     everyone = (1 << len(texts)) - 1
@@ -374,7 +436,6 @@ def _rules_for_group(
                 else:
                     pending[1] |= confident
         frontier = next_frontier
-    return rules
 
 
 def run_phase2(
@@ -388,9 +449,10 @@ def run_phase2(
     a consequent, and its antecedents are explored from most to least
     confident, one walk per group of consequents that differ only by their
     constants.  The walks share one support table, seeded with the
-    consequents' supports, one table of grouped counts and one step table.
-    The result is sorted by descending confidence, then antecedent and
-    consequent text (with the trailing period, as printed).
+    consequents' supports, one table of grouped counts, one step table and
+    the rules' shared parts.  The result is sorted by descending confidence,
+    then antecedent and consequent text (with the trailing period, as
+    printed).
     """
     groups = _consequent_groups(state)
     supports = {
@@ -400,14 +462,7 @@ def run_phase2(
     }
     grouped: dict[ConjunctiveQuery, _Counted] = {}
     table: dict[str, list[_Step]] = {}
-    rules = [
-        rule
-        for group in groups
-        for rule in _rules_for_group(
-            group, state, instance, config, supports, grouped, table
-        )
-    ]
-    # two stable sorts, so no tuple key compares ``Fraction``s for equality
-    rules.sort(key=attrgetter("antecedent", "consequent"))
-    rules.sort(key=attrgetter("confidence"), reverse=True)
-    return rules
+    rules = _Rules()
+    for group in groups:
+        _rules_for_group(group, state, instance, config, supports, grouped, table, rules)
+    return rules.ordered()

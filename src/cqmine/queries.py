@@ -445,9 +445,52 @@ def canonical_form(
     return text, tuple.__new__(ConjunctiveQuery, (head, body))
 
 
-def render_query(query: ConjunctiveQuery) -> str:
-    """Deterministic display form: canonical text with the head order kept.
+def canonical_text(
+    query: ConjunctiveQuery, substitution: Mapping[Term, Term] | None = None
+) -> str:
+    """The text of ``canonical_form``, head order kept, of ``query`` with
+    ``substitution`` applied to its body; unmapped terms pass through.
 
-    A trailing period is emitted; ``parse_query`` round-trips the result.
+    Only the text is made: no query, renaming or renamed body.  The
+    substituted atoms are deduplicated, as ``substitute_terms`` does, since
+    an assignment can collapse two atoms into one.
     """
-    return canonical_form(query)[0] + "."
+    head, body = query
+    if substitution:
+        get = substitution.get
+        body = {(relation, tuple(map(get, args, args))) for relation, args in body}
+    return _least_form(head, tuple(sorted(body)), lazy_head=False)[0]
+
+
+def instance_texts(
+    query: ConjunctiveQuery,
+    symbols: tuple[SymbolicConstant, ...],
+    assignments: Iterable[tuple[str, ...]],
+) -> tuple[str, ...]:
+    """``canonical_text`` of ``query`` with ``symbols``, which name all its
+    placeholders, bound to each assignment's values in turn.
+
+    When no relation repeats in the body, the atoms sort by relation alone,
+    whatever the values, and no assignment collapses two of them, so every
+    assignment's least rendering takes the same atom order and names the
+    variables alike.  The query is then rendered once, each placeholder
+    bound to a marker value, and each text puts its own quoted values in
+    the markers' places.  A body with a repeated relation or a literal
+    constant (which could render as a marker) is rendered per assignment.
+    """
+    relations = [relation for relation, _ in query[1]]
+    if len(set(relations)) < len(relations) or query.constants():
+        return tuple(
+            canonical_text(query, dict(zip(symbols, map(Constant, values))))
+            for values in assignments
+        )
+    markers = {symbol: Constant(f"\0{i}") for i, symbol in enumerate(symbols)}
+    # text between markers at even places, a marker's placeholder at odd ones
+    parts = re.split("'\0([0-9]+)'", canonical_text(query, markers))
+    slots = [(place, int(parts[place])) for place in range(1, len(parts), 2)]
+    texts = []
+    for values in assignments:
+        for place, slot in slots:
+            parts[place] = render_term(Constant(values[slot]))
+        texts.append("".join(parts))
+    return tuple(texts)

@@ -23,7 +23,7 @@ from typing import Any, Iterable, TextIO
 
 from .phase1 import MinerState
 from .phase2 import AssociationRule
-from .queries import canonical_form
+from .queries import canonical_text
 
 __all__ = [
     "write_frequent",
@@ -59,13 +59,13 @@ def write_frequent(
     support; the discovery's headline support is the best assignment's.
     ``run_json`` gets the ``frequent`` array of ``run.json``.  Each instance
     is the record's own text; only the headline of a discovery with
-    placeholders is rendered here.
+    placeholders is rendered here, by ``canonical_text``.
     """
     opening = "[\n"
     for record in state.frequent_records():
         grouped = record.frequent_constants
         if grouped.symbols:
-            query = canonical_form(record.query)[0] + "."
+            query = canonical_text(record.query) + "."
             assignments = [
                 (values, count, instance + ".")
                 for (values, count), instance in zip(

@@ -34,9 +34,9 @@ from cqmine.queries import (
     SymbolicConstant,
     Term,
     Variable,
+    canonical_text,
     instantiate,
     parse_query,
-    render_query,
     substitute_terms,
 )
 from cqmine.relational import Instance, Schema
@@ -218,6 +218,12 @@ def diagonal_contained(q1: ConjunctiveQuery, q2: ConjunctiveQuery) -> bool:
         if family_contained(q1, ConjunctiveQuery(head, q2.body)):
             return True
     return False
+
+
+def render_query(query: ConjunctiveQuery) -> str:
+    """A query as the reports print it: its canonical text, head order kept,
+    and a trailing period; ``parse_query`` reads it back."""
+    return canonical_text(query) + "."
 
 
 def least_rendering(query: ConjunctiveQuery, modulo_head_permutation: bool) -> str:

@@ -49,7 +49,6 @@ from cqmine.queries import (
     Constant,
     Variable,
     parse_query,
-    render_query,
 )
 from cqmine.relational import Instance, RelationDecl, Schema
 
@@ -219,7 +218,7 @@ def test_04_full_confidence_rule(state2, beer_instance):
         matches = [
             rule
             for rule in rules
-            if [render_query(q) for q in _oracle.rule_queries(rule)]
+            if [_oracle.render_query(q) for q in _oracle.rule_queries(rule)]
             == ["Q(x1) :- likes(x1, x2).", "Q(x1) :- likes(x1, 'Duvel')."]
         ]
         assert len(matches) == 1
@@ -469,8 +468,8 @@ def test_07_containment_engine_properties(beer_schema):
             q1 = _oracle.random_query(rng)
             q2 = _oracle.random_query(rng)
             assert is_contained(q1, q2) == _oracle.family_contained(q1, q2), (
-                render_query(q1),
-                render_query(q2),
+                _oracle.render_query(q1),
+                _oracle.render_query(q2),
             )
 
         checked = 0
@@ -487,7 +486,7 @@ def test_07_containment_engine_properties(beer_schema):
             query = _oracle.random_query(rng)
             small = minimize(query)
             assert len(small.body) <= len(query.body)
-            assert _oracle.family_equivalent(small, query), render_query(query)
+            assert _oracle.family_equivalent(small, query), _oracle.render_query(query)
             assert minimize(small) == small
 
 
@@ -503,14 +502,14 @@ def test_08_support_monotone_under_containment(beer_schema):
             general = _oracle.random_query(rng, allow_symbolics=False)
             special = _specialize(rng, general, shrink_head=True)
             assert is_diagonally_contained(special, general), (
-                render_query(special),
-                render_query(general),
+                _oracle.render_query(special),
+                _oracle.render_query(general),
             )
             for _ in range(2):
                 instance = _random_instance(rng, beer_schema)
                 assert support(special, instance) <= support(general, instance), (
-                    render_query(special),
-                    render_query(general),
+                    _oracle.render_query(special),
+                    _oracle.render_query(general),
                 )
                 triples += 1
 
@@ -523,8 +522,8 @@ def test_08_support_monotone_under_containment(beer_schema):
             if is_diagonally_contained(q1, q2):
                 instance = _random_instance(rng, beer_schema)
                 assert support(q1, instance) <= support(q2, instance), (
-                    render_query(q1),
-                    render_query(q2),
+                    _oracle.render_query(q1),
+                    _oracle.render_query(q2),
                 )
                 found += 1
         triples += found

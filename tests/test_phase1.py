@@ -19,10 +19,10 @@ from cqmine.phase1 import (
     run_phase1,
     specializations,
 )
-from cqmine.queries import Atom, parse_query, render_query
+from cqmine.queries import Atom, parse_query
 from cqmine.relational import RelationDecl, Schema
 
-from _oracle import candidate_keys, generalization_classes
+from _oracle import candidate_keys, generalization_classes, render_query
 
 
 # class keys take no schema, so an empty one serves

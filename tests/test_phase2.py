@@ -5,13 +5,14 @@ import io
 import itertools
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 
 import cqmine.containment
 import cqmine.phase2
 import cqmine.queries
-from _oracle import reference_rules, rule_queries
+from _oracle import reference_rules, render_query, rule_queries
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
 from cqmine.evaluation import support, support_grouped
@@ -26,7 +27,7 @@ from cqmine.phase1 import (
     run_phase1,
 )
 from cqmine.phase2 import RuleConfig, run_phase2
-from cqmine.queries import canonical_form, instantiate, parse_query, render_query
+from cqmine.queries import canonical_form, canonical_text, instantiate, parse_query
 from cqmine.relational import Instance, RelationDecl, Schema
 from cqmine.reports import write_frequent, write_reports
 
@@ -260,6 +261,24 @@ def test_rules_sorted_by_confidence_then_text(rules_half):
         for rule in rules_half
     ]
     assert ordering == sorted(ordering)
+
+
+def test_rules_share_their_parts_and_keep_their_order(rules_half):
+    for side in (attrgetter("antecedent"), attrgetter("consequent")):
+        first = {}
+        for rule in rules_half:
+            text = side(rule)
+            assert first.setdefault(text, text) is text
+    # one ``Fraction`` per (support, antecedent support) pair
+    confidences = {}
+    for rule in rules_half:
+        pair = (rule.support, rule.support / rule.confidence)
+        assert confidences.setdefault(pair, rule.confidence) is rule.confidence
+    assert len({id(rule.confidence) for rule in rules_half}) == len(confidences)
+    # the order of two stable sorts, by texts and then by descending confidence
+    expected = sorted(rules_half, key=attrgetter("antecedent", "consequent"))
+    expected.sort(key=attrgetter("confidence"), reverse=True)
+    assert rules_half == expected
 
 
 def test_sampled_rules_verified_against_the_data(rules_half, beer_instance):
@@ -497,16 +516,16 @@ def test_records_carry_each_instance_text(maxtwo_state):
 def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch):
     rendered, instantiated = [], []
 
-    def rendering(query, **options):
-        rendered.append(query)
-        return canonical_form(query, **options)
+    def rendering(query, substitution=None):
+        rendered.append((query, substitution))
+        return canonical_text(query, substitution)
 
     def instantiating(query, assignment):
         instantiated.append(query)
         return instantiate(query, assignment)
 
-    monkeypatch.setattr(cqmine.reports, "canonical_form", rendering)
-    for module in (cqmine.queries, cqmine.phase1, cqmine.phase2):
+    monkeypatch.setattr(cqmine.reports, "canonical_text", rendering)
+    for module in (cqmine.queries, cqmine.phase2):
         monkeypatch.setattr(module, "instantiate", instantiating)
     # phase 2 has run on this state (``rules_half``) and filled its memo,
     # which the writer neither reads nor fills
@@ -514,11 +533,14 @@ def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch
     frequent_txt = io.StringIO()
     write_frequent(maxtwo_state, frequent_txt, io.StringIO())
     assert not hasattr(cqmine.reports, "instantiate")
+    assert not hasattr(cqmine.reports, "canonical_form")
     assert instantiated == []
     assert maxtwo_state.canonical_form.cache_info() == memo
     # one rendering per discovery with placeholders: its headline
     records = maxtwo_state.frequent_records()
-    assert rendered == [r.query for r in records if r.frequent_constants.symbols]
+    assert rendered == [
+        (r.query, None) for r in records if r.frequent_constants.symbols
+    ]
     assert len(rendered) == 294
     lines = frequent_txt.getvalue().splitlines()
     instances = [line for line in lines if line.startswith("  ")]
@@ -533,33 +555,35 @@ def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch
 
 
 def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch):
-    calls = []
+    bases, members = [], []
 
     def instantiating(query, assignment):
-        calls.append((query, assignment))
+        bases.append((query, assignment))
         return instantiate(query, assignment)
 
+    def rendering(query, substitution=None):
+        members.append(query)
+        return canonical_text(query, substitution)
+
     monkeypatch.setattr(cqmine.phase2, "instantiate", instantiating)
+    monkeypatch.setattr(cqmine.phase2, "canonical_text", rendering)
     groups = cqmine.phase2._consequent_groups(maxtwo_state)
     records = maxtwo_state.frequent_records()
-    # a call on a record's own query renders a group's first member, for
-    # the form its walk starts from; any other call is on a minimized
-    # pattern that merges placeholders, once per member of such a pattern
-    on_records = [
-        (query, assignment)
-        for query, assignment in calls
-        if any(query is record.query for record in records)
+    # each group's first member alone is instantiated, for the form its walk
+    # starts from
+    assert [canonical_form(instantiate(*call))[0] for call in bases] == [
+        group.texts[0] for group in groups
     ]
-    bases = [canonical_form(instantiate(*call))[0] for call in on_records]
-    assert len(set(bases)) == len(bases)
-    assert set(bases) <= {group.texts[0] for group in groups}
+    # only the text of a member of a minimized pattern that merges
+    # placeholders is rendered, once per member; the others are the records'
+    assert not any(query is record.query for query in members for record in records)
     merging_members = sum(
         len(set(values)) < len(values)
         for record in records
         for values in record.frequent_constants.counts
     )
-    assert len(calls) - len(on_records) == merging_members
-    assert len(calls) < sum(len(record.texts) for record in records)
+    assert len(members) == merging_members == 117
+    assert len(bases) + len(members) < sum(len(record.texts) for record in records)
 
 
 # ---------------------------------------------------------------------------

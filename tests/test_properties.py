@@ -8,7 +8,8 @@ equivalent to its input.  Phase 1 memoizes class keys by a shape that
 ignores the same names, which is sound only if renamed copies of a query get
 the class its own minimization and canonical form would give.  Every
 support is one grouped count, which for a query without placeholders must
-be its answer count at the one empty assignment.
+be its answer count at the one empty assignment.  The text-only renderers
+must give the text of the instantiated query's canonical form.
 """
 
 from hypothesis import assume, given, settings
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 import _oracle
 from cqmine.containment import is_equivalent, minimize
-from cqmine.evaluation import support, support_grouped
-from cqmine.phase1 import MinerConfig, MinerState, _shape, class_of
+from cqmine.evaluation import GroupedSupport, support, support_grouped
+from cqmine.phase1 import MinerConfig, MinerState, QueryRecord, _shape, class_of
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
@@ -25,6 +26,7 @@ from cqmine.queries import (
     SymbolicConstant,
     Variable,
     canonical_form,
+    canonical_text,
     fresh_symbolic_constant,
     fresh_variable,
     instantiate,
@@ -223,3 +225,59 @@ def test_support_is_the_grouped_count_of_the_empty_assignment(query, instance, m
         assert support_grouped(counted, instance, minsup).counts == {
             values: n for values, n in every.items() if n >= minsup
         }
+
+
+# values that quoting and joining must carry through unchanged
+AWKWARD_VALUES = ["p", "it's", "{0}", "}{", "a, b", "q)", "''"]
+PLACEHOLDERS = [SymbolicConstant(i) for i in (1, 2, 3)]
+
+
+@st.composite
+def placeholder_queries(draw):
+    """A body of one to four atoms with placeholders, over distinct
+    relations or with one relation repeated, and several frequent
+    assignments; values repeat often, so atoms often collapse."""
+    size = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        relations = draw(st.permutations(["like", "likes", "visits", "serves"]))
+    else:
+        relations = [draw(st.sampled_from(["like", "likes"])) for _ in range(size)]
+    # no literal constant, one, or one that renders like a marker of
+    # instance_texts
+    literals = draw(st.sampled_from([[], [Constant("it's")], [Constant("\0" + "0")]]))
+    terms = st.sampled_from([*VARIABLES[:3], *PLACEHOLDERS, *literals])
+    body = frozenset(
+        Atom(relation, (draw(terms), draw(terms))) for relation in relations[:size]
+    )
+    body_vars = sorted(
+        {t for atom in body for t in atom.args if isinstance(t, Variable)},
+        key=lambda v: v.name,
+    )
+    assume(body_vars)
+    head = draw(st.lists(st.sampled_from(body_vars), min_size=1, unique=True))
+    query = ConjunctiveQuery(tuple(head), body)
+    symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
+    values = st.sampled_from(AWKWARD_VALUES[: draw(st.integers(1, 7))])
+    assignments = draw(
+        st.lists(st.tuples(*[values] * len(symbols)), min_size=1, max_size=5, unique=True)
+    )
+    return query, symbols, assignments
+
+
+@PROPERTY
+@given(placeholder_queries())
+def test_text_renderers_give_the_instantiated_canonical_text(drawn):
+    query, symbols, assignments = drawn
+    counts = {values: i for i, values in enumerate(assignments, start=1)}
+    grouped = GroupedSupport(symbols, counts)
+    expected = []
+    for values, _ in grouped.sorted_items():
+        assignment = dict(zip(symbols, values))
+        instance = instantiate(query, assignment)
+        text = canonical_form(instance)[0]
+        assert text == _oracle.least_rendering(instance, False)
+        substitution = {s: Constant(value) for s, value in assignment.items()}
+        assert canonical_text(query, substitution) == text
+        expected.append(text)
+    record = QueryRecord(query, grouped.best(), 1, grouped)
+    assert record.texts == tuple(expected)

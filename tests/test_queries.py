@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from _oracle import substitute
+from _oracle import render_query, substitute
 from cqmine.containment import minimize
 from cqmine.errors import QueryError
 from cqmine.queries import (
@@ -21,7 +21,6 @@ from cqmine.queries import (
     fresh_variable,
     instantiate,
     parse_query,
-    render_query,
     render_term,
     substitute_terms,
 )

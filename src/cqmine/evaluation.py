@@ -24,7 +24,6 @@ from __future__ import annotations
 import itertools
 import math
 import sqlite3
-from dataclasses import dataclass
 
 from .errors import QueryError
 from .queries import (
@@ -106,7 +105,6 @@ def support(query: ConjunctiveQuery, instance: Instance) -> int:
     return support_grouped(query, instance).counts.get((), 0)
 
 
-@dataclass(frozen=True)
 class GroupedSupport:
     """Per-assignment supports of a query.
 
@@ -117,8 +115,13 @@ class GroupedSupport:
     ``()``.
     """
 
-    symbols: tuple[SymbolicConstant, ...]
-    counts: dict[tuple[str, ...], int]
+    __slots__ = ("symbols", "counts")
+
+    def __init__(
+        self, symbols: tuple[SymbolicConstant, ...], counts: dict[tuple[str, ...], int]
+    ) -> None:
+        self.symbols = symbols
+        self.counts = counts
 
     def best(self) -> int:
         return max(self.counts.values(), default=0)

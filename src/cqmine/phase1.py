@@ -22,8 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
@@ -71,7 +70,6 @@ def parse_key_atom(pattern: str, schema: Schema) -> Atom:
     return Atom(name, args)
 
 
-@dataclass(frozen=True, slots=True)
 class MinerConfig:
     """Parameters controlling the frequent-query search.
 
@@ -85,19 +83,25 @@ class MinerConfig:
         atom's variables as the fixed head (the "transaction key" language).
     """
 
-    minsup: int
-    max_atoms: int = 2
-    enable_constants: bool = True
-    key_atom: Atom | None = None
+    __slots__ = ("minsup", "max_atoms", "enable_constants", "key_atom")
 
-    def __post_init__(self) -> None:
-        if self.minsup < 1:
-            raise ConfigError(f"minsup must be at least 1, got {self.minsup}")
-        if not 1 <= self.max_atoms <= 64:
-            raise ConfigError(f"max_atoms must be from 1 to 64, got {self.max_atoms}")
+    def __init__(
+        self,
+        minsup: int,
+        max_atoms: int = 2,
+        enable_constants: bool = True,
+        key_atom: Atom | None = None,
+    ) -> None:
+        if minsup < 1:
+            raise ConfigError(f"minsup must be at least 1, got {minsup}")
+        if not 1 <= max_atoms <= 64:
+            raise ConfigError(f"max_atoms must be from 1 to 64, got {max_atoms}")
+        self.minsup = minsup
+        self.max_atoms = max_atoms
+        self.enable_constants = enable_constants
+        self.key_atom = key_atom
 
 
-@dataclass(frozen=True, slots=True)
 class QueryRecord:
     """A frequent discovery: the class representative and its measured support.
 
@@ -113,22 +117,27 @@ class QueryRecord:
     reports read the text.
     """
 
-    query: ConjunctiveQuery
-    support: int
-    level: int
-    frequent_constants: GroupedSupport
-    texts: tuple[str, ...] = field(init=False, repr=False)
+    __slots__ = ("query", "support", "level", "frequent_constants", "texts")
 
-    def __post_init__(self) -> None:
-        grouped = self.frequent_constants
-        texts = instance_texts(
-            self.query, grouped.symbols, [values for values, _ in grouped.sorted_items()]
+    def __init__(
+        self,
+        query: ConjunctiveQuery,
+        support: int,
+        level: int,
+        frequent_constants: GroupedSupport,
+    ) -> None:
+        self.query = query
+        self.support = support
+        self.level = level
+        self.frequent_constants = frequent_constants
+        self.texts = instance_texts(
+            query,
+            frequent_constants.symbols,
+            [values for values, _ in frequent_constants.sorted_items()],
         )
-        object.__setattr__(self, "texts", texts)
 
 
-@dataclass(slots=True)
-class Level:
+class Level(NamedTuple):
     """One admission round: the candidates evaluated and the survivors."""
 
     number: int
@@ -136,7 +145,6 @@ class Level:
     frequent_keys: tuple[str, ...]
 
 
-@dataclass(slots=True)
 class MinerState:
     """Everything accumulated by a mining run, and the run's memos.
 
@@ -147,24 +155,40 @@ class MinerState:
     renderings that many walks ask for again; phase 1 keys classes by shape,
     and one-off renderings, such as each record's ``texts``, go through the
     plain functions.  ``parents`` holds the generalization keys of each
-    class ``admission`` walked in full.  All live as long as the state.
+    class ``admission`` walked in full.
+
+    ``atoms`` is the run's atom table: every ``canonical_form`` of the run
+    interns the atoms of its renamed body there, so each distinct atom the
+    run keeps (in class representatives, records, group bases and walk
+    steps) is one object.  All live as long as the state.
     """
 
-    config: MinerConfig
-    schema: Schema
-    levels: list[Level] = field(default_factory=list)
-    frequent_index: dict[str, QueryRecord] = field(default_factory=dict)
-    infrequent_index: set[str] = field(default_factory=set)
-    parents: dict[str, list[str]] = field(default_factory=dict)
-    classes: dict[tuple, tuple[str, ConjunctiveQuery]] = field(
-        default_factory=dict, repr=False, compare=False
+    __slots__ = (
+        "config",
+        "schema",
+        "levels",
+        "frequent_index",
+        "infrequent_index",
+        "parents",
+        "classes",
+        "atoms",
+        "canonical_form",
+        "minimize",
     )
-    canonical_form: Callable = field(init=False, repr=False, compare=False)
-    minimize: Callable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self.canonical_form = functools.lru_cache(maxsize=None)(canonical_form)
-        self.minimize = functools.lru_cache(maxsize=None)(minimize)
+    def __init__(self, config: MinerConfig, schema: Schema) -> None:
+        self.config = config
+        self.schema = schema
+        self.levels: list[Level] = []
+        self.frequent_index: dict[str, QueryRecord] = {}
+        self.infrequent_index: set[str] = set()
+        self.parents: dict[str, list[str]] = {}
+        self.classes: dict[tuple, tuple[str, ConjunctiveQuery]] = {}
+        self.atoms: dict[Atom, Atom] = {}
+        self.canonical_form: Callable = functools.lru_cache(maxsize=None)(
+            functools.partial(canonical_form, atoms=self.atoms)
+        )
+        self.minimize: Callable = functools.lru_cache(maxsize=None)(minimize)
 
     def frequent_records(self) -> list[QueryRecord]:
         return [
@@ -276,7 +300,9 @@ def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, Conjuncti
     found = state.classes.get(shape)
     if found is None:
         found = state.classes[shape] = canonical_form(
-            minimize(query), modulo_head_permutation=not head_ordered
+            minimize(query),
+            modulo_head_permutation=not head_ordered,
+            atoms=state.atoms,
         )
     return found
 

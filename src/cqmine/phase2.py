@@ -61,9 +61,9 @@ texts and compares no ``Fraction`` per rule.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
+from typing import NamedTuple
 
 from .containment import minimize
 from .errors import ConfigError
@@ -93,7 +93,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
 class RuleConfig:
     """Thresholds controlling rule generation.
 
@@ -103,11 +102,10 @@ class RuleConfig:
     rule pairing every consequent with itself (confidence 1).
     """
 
-    minconf: Fraction
-    include_trivial: bool = False
+    __slots__ = ("minconf", "include_trivial")
 
-    def __post_init__(self) -> None:
-        value = self.minconf
+    def __init__(self, minconf: Fraction, include_trivial: bool = False) -> None:
+        value = minconf
         try:
             if isinstance(value, float):
                 value = Fraction(str(value))
@@ -117,10 +115,10 @@ class RuleConfig:
             raise ConfigError(f"minconf is not a valid fraction: {value!r}") from exc
         if not 0 < value <= 1:
             raise ConfigError(f"minconf must lie in (0, 1], got {value}")
-        object.__setattr__(self, "minconf", value)
+        self.minconf = value
+        self.include_trivial = include_trivial
 
 
-@dataclass(frozen=True, slots=True)
 class AssociationRule:
     """``antecedent => consequent`` over queries with identical heads.
 
@@ -132,13 +130,37 @@ class AssociationRule:
     confidence passed the exact ``minconf`` test (or is 1, for a trivial
     rule).  The rules of a run share their equal parts as one object each
     (see ``_Rules``).  A slotted instance takes 64 bytes, a tuple or
-    ``NamedTuple`` of the four fields 72.
+    ``NamedTuple`` of the four fields 72.  Rules are equal when their four
+    fields are.
     """
 
-    antecedent: str
-    consequent: str
-    support: int
-    confidence: Fraction
+    __slots__ = ("antecedent", "consequent", "support", "confidence")
+
+    def __init__(
+        self, antecedent: str, consequent: str, support: int, confidence: Fraction
+    ) -> None:
+        self.antecedent = antecedent
+        self.consequent = consequent
+        self.support = support
+        self.confidence = confidence
+
+    def _key(self) -> tuple[str, str, int, Fraction]:
+        return (self.antecedent, self.consequent, self.support, self.confidence)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not AssociationRule:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"AssociationRule(antecedent={self.antecedent!r}, "
+            f"consequent={self.consequent!r}, support={self.support!r}, "
+            f"confidence={self.confidence!r})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +168,7 @@ class AssociationRule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class _Group:
+class _Group(NamedTuple):
     """Consequents that share one walk, representative first.
 
     ``base`` is the representative's minimized, canonically renamed query.
@@ -182,8 +203,8 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
     the consequent is its minimized class, so those members' texts are
     rendered from the minimized pattern by ``canonical_text``.  Only each
     group's first member gets a full ``canonical_form``, for the form its
-    walk starts from.  One-off renderings go through the plain functions,
-    not the run's memos.
+    walk starts from, and its atoms go into the run's atom table.  One-off
+    renderings go through the plain functions, not the run's memos.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
@@ -222,7 +243,8 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
                 claimed.add(text)
                 if base is None:
                     base = canonical_form(
-                        instantiate(pattern_query, dict(zip(free_symbols, values)))
+                        instantiate(pattern_query, dict(zip(free_symbols, values))),
+                        atoms=state.atoms,
                     )[1]
                     origin = values
                 texts.append(text)
@@ -268,7 +290,6 @@ def _steps_of(
     return steps
 
 
-@dataclass(slots=True)
 class _Rules:
     """The run's rules, one bucket per confidence, and the parts they share.
 
@@ -279,11 +300,14 @@ class _Rules:
     different rules are one object.
     """
 
-    dotted: dict[str, str] = field(default_factory=dict)
-    confidences: dict[tuple[int, int], tuple[Fraction, list[AssociationRule]]] = (
-        field(default_factory=dict)
-    )
-    buckets: dict[Fraction, list[AssociationRule]] = field(default_factory=dict)
+    __slots__ = ("dotted", "confidences", "buckets")
+
+    def __init__(self) -> None:
+        self.dotted: dict[str, str] = {}
+        self.confidences: dict[
+            tuple[int, int], tuple[Fraction, list[AssociationRule]]
+        ] = {}
+        self.buckets: dict[Fraction, list[AssociationRule]] = {}
 
     def dot(self, text: str) -> str:
         dotted = self.dotted.get(text)
@@ -334,6 +358,13 @@ def _rules_for_group(
     rules: _Rules,
 ) -> None:
     texts, counts, renamings = group.texts, group.counts, group.renamings
+    # each member's value of each of the representative's constants, looked
+    # up by ``decide`` for its key into a grouped count
+    base_constants = group.base.constants()
+    value_of = [
+        {c: renaming.get(c, c)[1] for c in base_constants}.__getitem__
+        for renaming in renamings
+    ]
     base_text = texts[0]
     consequents = [text + "." for text in texts]
     dot, add = rules.dot, rules.add
@@ -383,7 +414,7 @@ def _rules_for_group(
             bits ^= low
             member = low.bit_length() - 1
             if by_values is not None:
-                key = tuple(renamings[member].get(c, c)[1] for c in constants)
+                key = tuple(map(value_of[member], constants))
                 antecedent_support = by_values[key]
             if numerator * antecedent_support > cuts[member]:
                 continue

@@ -424,7 +424,10 @@ def _term_for_name(name: str) -> Term:
 
 
 def canonical_form(
-    query: ConjunctiveQuery, *, modulo_head_permutation: bool = False
+    query: ConjunctiveQuery,
+    *,
+    modulo_head_permutation: bool = False,
+    atoms: dict[Atom, Atom] | None = None,
 ) -> tuple[str, ConjunctiveQuery]:
     """Canonical text plus the structurally renamed query it describes.
 
@@ -432,17 +435,24 @@ def canonical_form(
     orderings (and, with ``modulo_head_permutation``, head orderings) with
     variables renamed x1, x2, ... and symbolic constants $c1, $c2, ... by
     first occurrence.  Isomorphic queries share one form.
+
+    Each atom of the renamed body is interned in ``atoms``, a table that
+    maps an atom to its one kept copy, so forms rendered through one table
+    share their equal atoms.  Without a table the atoms are the form's own.
     """
-    atoms = tuple(sorted(query.body))
     text, naming = _least_form(
-        query.head, atoms, lazy_head=modulo_head_permutation
+        query.head, tuple(sorted(query.body)), lazy_head=modulo_head_permutation
     )
-    renaming = {old: _term_for_name(name) for old, name in naming.items()}
+    get = {old: _term_for_name(name) for old, name in naming.items()}.get
+    intern = ({} if atoms is None else atoms).setdefault
     head = tuple(_term_for_name(f"x{i}") for i in range(1, len(query.head) + 1))
+    body = []
+    for relation, args in query.body:
+        atom = Atom(relation, tuple(map(get, args, args)))
+        body.append(intern(atom, atom))
     # an injective renaming of a valid query is valid, so it skips the checks
     # of ConjunctiveQuery.__new__
-    body = substitute_terms(query.body, renaming)
-    return text, tuple.__new__(ConjunctiveQuery, (head, body))
+    return text, tuple.__new__(ConjunctiveQuery, (head, frozenset(body)))
 
 
 def canonical_text(

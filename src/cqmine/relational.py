@@ -12,8 +12,8 @@ import csv
 import functools
 import re
 import sqlite3
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import DataError, SchemaError
 from .sqlgen import table_sql
@@ -24,8 +24,7 @@ _DECL_RE = re.compile(
 _COL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-@dataclass(frozen=True)
-class RelationDecl:
+class RelationDecl(NamedTuple):
     """A single relation declaration: name, arity and column names."""
 
     name: str
@@ -36,24 +35,21 @@ class RelationDecl:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
 class Schema:
     """An ordered collection of relation declarations with unique names."""
 
-    relations: tuple[RelationDecl, ...]
-    _by_name: dict[str, RelationDecl] = field(
-        init=False, repr=False, compare=False, hash=False, default_factory=dict
-    )
+    __slots__ = ("relations", "_by_name")
 
-    def __post_init__(self) -> None:
+    def __init__(self, relations: tuple[RelationDecl, ...]) -> None:
         by_name: dict[str, RelationDecl] = {}
-        for decl in self.relations:
+        for decl in relations:
             if decl.name in by_name:
                 raise SchemaError(f"duplicate relation name: {decl.name!r}")
             if decl.arity < 1:
                 raise SchemaError(f"relation {decl.name!r} must have arity >= 1")
             by_name[decl.name] = decl
-        object.__setattr__(self, "_by_name", by_name)
+        self.relations = relations
+        self._by_name = by_name
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
@@ -68,28 +64,28 @@ class Schema:
         return tuple(decl.name for decl in self.relations)
 
 
-@dataclass(frozen=True)
 class Instance:
     """A database instance: one frozen set of rows per schema relation.
 
     Rows are tuples of strings; duplicates are collapsed by construction.
+    The class has no ``__slots__``: ``database`` is a ``cached_property``,
+    which keeps the connection in the instance's ``__dict__``.
     """
 
-    schema: Schema
-    tables: dict[str, frozenset[tuple[str, ...]]]
-
-    def __post_init__(self) -> None:
-        tables: dict[str, frozenset[tuple[str, ...]]] = {}
-        for decl in self.schema.relations:
-            rows = frozenset(self.tables.get(decl.name, frozenset()))
+    def __init__(
+        self, schema: Schema, tables: dict[str, frozenset[tuple[str, ...]]]
+    ) -> None:
+        self.schema = schema
+        self.tables: dict[str, frozenset[tuple[str, ...]]] = {}
+        for decl in schema.relations:
+            rows = frozenset(tables.get(decl.name, frozenset()))
             for row in rows:
                 if len(row) != decl.arity:
                     raise DataError(
                         f"relation {decl.name!r}: row {row!r} has width "
                         f"{len(row)}, expected {decl.arity}"
                     )
-            tables[decl.name] = rows
-        object.__setattr__(self, "tables", tables)
+            self.tables[decl.name] = rows
 
     @functools.cached_property
     def database(self) -> sqlite3.Connection:

@@ -1,6 +1,9 @@
-"""Every name a module of the package imports is used there or exported."""
+"""Every name a module of the package imports is used there or exported,
+and the command line imports no introspection machinery."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,3 +42,22 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = imported_names(tree) - used - exported_names(tree)
     assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def test_the_command_line_imports_no_introspection_modules():
+    # dataclasses imports inspect, which imports ast, dis and tokenize: about
+    # 1 MB and 9 ms of every process
+    heavy = ("dataclasses", "inspect", "ast", "dis")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import cqmine.__main__\n"
+        f"print(*[name for name in {heavy!r} if name in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []

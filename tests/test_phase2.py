@@ -4,12 +4,14 @@ import functools
 import io
 import itertools
 import random
+import sys
 from fractions import Fraction
 from operator import attrgetter
 
 import pytest
 
 import cqmine.containment
+import cqmine.phase1
 import cqmine.phase2
 import cqmine.queries
 from _oracle import reference_rules, render_query, rule_queries
@@ -26,7 +28,7 @@ from cqmine.phase1 import (
     parse_key_atom,
     run_phase1,
 )
-from cqmine.phase2 import RuleConfig, run_phase2
+from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
 from cqmine.queries import canonical_form, canonical_text, instantiate, parse_query
 from cqmine.relational import Instance, RelationDecl, Schema
 from cqmine.reports import write_frequent, write_reports
@@ -112,6 +114,23 @@ def test_minconf_coerced_to_exact_fraction():
     assert RuleConfig(0.75).minconf == Fraction(3, 4)
     assert RuleConfig(1).minconf == Fraction(1)
     assert RuleConfig(1).include_trivial is False
+
+
+def test_rules_compare_by_value_in_64_bytes():
+    # phase 2's memory is mostly rules, so each must stay this small
+    rule = AssociationRule(
+        "Q(x1) :- likes(x1, x2).", "Q(x1) :- likes(x1, 'a').", 3, Fraction(3, 4)
+    )
+    same = AssociationRule(
+        antecedent=rule.antecedent,
+        consequent=rule.consequent,
+        support=3,
+        confidence=Fraction(6, 8),
+    )
+    assert rule == same and hash(rule) == hash(same)
+    assert rule != AssociationRule(rule.antecedent, rule.consequent, 3, Fraction(1, 2))
+    assert rule != (rule.antecedent, rule.consequent, 3, Fraction(3, 4))
+    assert sys.getsizeof(rule) <= 64
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +636,31 @@ def test_each_run_owns_its_memos(beer_instance):
     assert second.canonical_form.cache_info() == first.canonical_form.cache_info()
     assert second.minimize.cache_info() == first.minimize.cache_info()
     assert second.parents == first.parents
+    # and from an empty atom table, sharing no atom with the first run
+    assert second.atoms == first.atoms
+    first_atoms = {id(atom) for atom in first.atoms.values()}
+    assert first_atoms.isdisjoint(id(atom) for atom in second.atoms.values())
+
+
+def test_a_run_keeps_one_object_per_distinct_atom(beer_instance, monkeypatch):
+    tables, forms = [], []  # of every form the run renders, memo entries included
+
+    def recording_canonical_form(query, **options):
+        text, form = canonical_form(query, **options)
+        tables.append(options["atoms"])
+        forms.append(form)
+        return text, form
+
+    # the state's memo wraps phase 1's name, bound when the state is made
+    monkeypatch.setattr(cqmine.phase1, "canonical_form", recording_canonical_form)
+    monkeypatch.setattr(cqmine.phase2, "canonical_form", recording_canonical_form)
+    state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
+    run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2)))
+    assert state.canonical_form.cache_info().currsize > 0
+    assert all(table is state.atoms for table in tables)
+    kept = [atom for record in state.frequent_records() for atom in record.query.body]
+    kept += [atom for form in forms for atom in form.body]
+    assert len({id(atom) for atom in kept}) == len(set(kept)) == len(state.atoms)
 
 
 # ---------------------------------------------------------------------------

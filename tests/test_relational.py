@@ -54,6 +54,13 @@ def test_load_schema_rejects(tmp_path: Path, text: str):
         load_schema(path)
 
 
+def test_schema_rejects_duplicate_names_and_empty_relations():
+    with pytest.raises(SchemaError, match="duplicate relation name: 'r'"):
+        Schema((RelationDecl("r", ("a",)), RelationDecl("r", ("b",))))
+    with pytest.raises(SchemaError, match="relation 'r' must have arity >= 1"):
+        Schema((RelationDecl("r", ()),))
+
+
 def test_load_schema_not_utf8_names_file_and_line(tmp_path: Path):
     path = tmp_path / "schema.txt"
     path.write_bytes(b"r(a, b)\n# caf\xe9\ns(a)\n")

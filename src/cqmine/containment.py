@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping
 
-from .queries import Atom, ConjunctiveQuery, Term
+from .queries import Atom, ConjunctiveQuery, Term, unchecked_query
 
 # ---------------------------------------------------------------------------
 # homomorphism search
@@ -183,17 +183,27 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     another atom can be redundant (the homomorphic image of a dropped atom
     is a different atom of the same relation), so bodies without repeated
     relations are returned untouched.
+
+    An atom whose arguments are all head variables, constants or
+    placeholders is never tried: the homomorphism fixes each of its terms,
+    so it can only map the atom onto itself, never into the body without it.
     """
     body = query.body
     head_seed: dict[Term, Term] = {v: v for v in query.head}
     while len(body) > 1:
         ordered = sorted(body)
         targets = _target_index(ordered)
+        candidates = [
+            atom
+            for atom in ordered
+            if len(targets[(atom.relation, len(atom.args))]) > 1
+            and any(term[0] == "v" and term not in head_seed for term in atom[1])
+        ]
+        if not candidates:
+            break
         atoms = _search_order(body, head_seed)
-        for atom in ordered:
+        for atom in candidates:
             key = (atom.relation, len(atom.args))
-            if len(targets[key]) < 2:
-                continue
             reduced = {**targets, key: [t for t in targets[key] if t != atom]}
             if next(_homs(atoms, reduced, head_seed, True), None) is not None:
                 body = body - {atom}
@@ -202,4 +212,4 @@ def minimize(query: ConjunctiveQuery) -> ConjunctiveQuery:
             break
     if body is query.body:
         return query
-    return ConjunctiveQuery(query.head, body)
+    return unchecked_query(query.head, body)

@@ -20,7 +20,14 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .queries import Atom, ConjunctiveQuery, Term, Variable, fresh_variable
+from .queries import (
+    Atom,
+    ConjunctiveQuery,
+    Term,
+    Variable,
+    fresh_variable,
+    unchecked_query,
+)
 
 __all__ = ["atom_removals", "inverse_substitutions", "splits"]
 
@@ -40,7 +47,7 @@ def atom_removals(query: ConjunctiveQuery) -> Iterator[ConjunctiveQuery]:
             if term[0] == "v"
         }
         if head_vars <= rest_vars:
-            yield ConjunctiveQuery(query.head, rest)
+            yield unchecked_query(query.head, rest)
 
 
 def inverse_substitutions(
@@ -125,7 +132,7 @@ def inverse_substitutions(
         atoms = others | frozenset(picked)
         if target_is_variable and not any(target in atom.args for atom in atoms):
             continue  # pure renaming, or a head variable would vanish
-        yield ConjunctiveQuery(query.head, atoms)
+        yield unchecked_query(query.head, atoms)
 
 
 def _subsets(variants: list, widest: int) -> Iterator[tuple]:

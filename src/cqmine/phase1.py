@@ -38,6 +38,7 @@ from .queries import (
     fresh_variable,
     instance_texts,
     substitute_terms,
+    unchecked_query,
 )
 from .relational import Instance, Schema
 
@@ -212,7 +213,7 @@ def initial_candidates(state: MinerState) -> list[ConjunctiveQuery]:
     """
     schema, config = state.schema, state.config
     if config.key_atom is not None:
-        seed = ConjunctiveQuery(config.key_atom.args, frozenset([config.key_atom]))
+        seed = unchecked_query(config.key_atom.args, frozenset([config.key_atom]))
         return [class_of(seed, state)[1]]
     results: dict[str, ConjunctiveQuery] = {}
     names = sorted(schema.names())
@@ -224,7 +225,7 @@ def initial_candidates(state: MinerState) -> list[ConjunctiveQuery]:
             args = tuple(Variable(f"v{next(counter)}") for _ in range(arity))
             atoms.append(Atom(name, args))
         head = tuple(term for atom in atoms for term in atom.args)
-        key, query = class_of(ConjunctiveQuery(head, frozenset(atoms)), state)
+        key, query = class_of(unchecked_query(head, frozenset(atoms)), state)
         results.setdefault(key, query)
     return [results[key] for key in sorted(results)]
 
@@ -348,29 +349,25 @@ def specializations(
                 variable = fresh_variable(used | {v.name for v in fresh})
                 fresh.append(variable)
             atom = Atom(name, tuple(fresh))
-            add(ConjunctiveQuery(base.head, base.body | {atom}))
+            add(unchecked_query(base.head, base.body | {atom}))
 
-    # Join: merge two distinct variables.  When both are head variables the
-    # two choices of survivor drop different head positions, so both are
-    # produced; otherwise a head variable survives, falling back to name
-    # order when neither is in the head.
+    # Join: merge two distinct variables.  A head variable survives, and
+    # when neither or both are in the head the first in name order does.
+    # Two head variables make one survivor: keeping either drops the other's
+    # head position, and the two results are renamings of each other (swap
+    # the names) up to head order, which class keys without a key atom
+    # ignore.  With a key atom the head is fixed, so no two head variables
+    # are joined.
     variables = sorted(base.variables())
     for left, right in itertools.combinations(variables, 2):
-        survivors: list[tuple[Variable, Variable]]
-        if left in head_set and right in head_set:
-            if biased:
-                continue
-            survivors = [(left, right), (right, left)]
-        elif left in head_set:
-            survivors = [(left, right)]
-        elif right in head_set:
-            survivors = [(right, left)]
+        if biased and left in head_set and right in head_set:
+            continue
+        if right in head_set and left not in head_set:
+            keep, drop = right, left
         else:
-            survivors = [(left, right)]
-        for keep, drop in survivors:
-            mapping = {drop: keep}
-            head = tuple(v for v in base.head if v != drop)
-            add(ConjunctiveQuery(head, substitute_terms(base.body, mapping)))
+            keep, drop = left, right
+        head = tuple(v for v in base.head if v != drop)
+        add(unchecked_query(head, substitute_terms(base.body, {drop: keep})))
 
     # Selection: bind a non-head variable to a symbolic constant.
     if config.enable_constants:
@@ -378,18 +375,15 @@ def specializations(
         for variable in variables:
             if variable in head_set:
                 continue
-            add(
-                ConjunctiveQuery(
-                    base.head, substitute_terms(base.body, {variable: symbol})
-                )
-            )
+            body = substitute_terms(base.body, {variable: symbol})
+            add(unchecked_query(base.head, body))
 
     # Projection: drop one head position (heads never shrink to nothing, and
     # key-atom mode keeps the head fixed).
     if base.arity >= 2 and not biased:
         for position in range(base.arity):
             head = base.head[:position] + base.head[position + 1 :]
-            add(ConjunctiveQuery(head, base.body))
+            add(unchecked_query(head, base.body))
 
     return {key: results[key] for key in sorted(results)}
 
@@ -414,7 +408,8 @@ def immediate_generalizations(
     Results come lazily and cheapest first, so a caller that stops early
     pays only for the ones it looked at: removals, re-openings and inverse
     projections, which are strict by construction, come before the splits,
-    which need a containment check.  Keys may repeat.
+    which are strict by construction only on an input without placeholders
+    and need a containment check on one with them.  Keys may repeat.
     """
     head, body = representative.head, representative.body
     key_atom = state.config.key_atom
@@ -443,8 +438,9 @@ def immediate_generalizations(
     # Symbolic constants re-open wholesale: strict, since no homomorphism can
     # reintroduce the vanished symbol.
     fresh = fresh_variable(_used_names(representative))
-    for symbol in sorted(representative.symbolic_constants()):
-        candidate = ConjunctiveQuery(head, substitute_terms(body, {symbol: fresh}))
+    symbols = representative.symbolic_constants()
+    for symbol in sorted(symbols):
+        candidate = unchecked_query(head, substitute_terms(body, {symbol: fresh}))
         if in_language(candidate):
             yield class_of(candidate, state)
 
@@ -453,12 +449,24 @@ def immediate_generalizations(
     if key_atom is None:
         unexported = representative.variables() - set(head)
         for variable in sorted(unexported):
-            yield class_of(ConjunctiveQuery(head + (variable,), body), state)
+            yield class_of(unchecked_query(head + (variable,), body), state)
 
-    # A split can collapse back into the input's class, so strictness is checked.
+    # A split keeps the atom count and puts a fresh variable in some places
+    # of its target, a term it keeps elsewhere (a constant target it may
+    # lose, but no embedding drops a constant).  Were the split diagonally
+    # contained in the input, its embedding followed by the split's
+    # substitution would be an endomorphism of the input that permutes the
+    # head.  A power of it fixes the head and, without placeholders, every
+    # term minimization holds fixed, so on the minimized input it is a
+    # bijection on atoms and on terms.  The embedding would then be
+    # injective on terms and onto the split's body, which has one term more:
+    # impossible.  Placeholders may move under containment but not under
+    # minimization: ``Q(x1) :- likes($c1, x1), likes($c2, x1)`` contains its
+    # split ``Q(x1) :- likes($c1, x1), likes($c2, g1)``, so with placeholders
+    # strictness is checked.
     for candidate in splits(representative, len(body)):
-        if in_language(candidate) and not is_diagonally_contained(
-            candidate, representative
+        if in_language(candidate) and not (
+            symbols and is_diagonally_contained(candidate, representative)
         ):
             yield class_of(candidate, state)
 

@@ -78,6 +78,7 @@ from .queries import (
     canonical_text,
     instantiate,
     substitute_terms,
+    unchecked_query,
 )
 from .relational import Instance
 
@@ -225,7 +226,7 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
             if merging:
                 merge = dict(zip(symbols, (symbols[label] for label in pattern)))
                 pattern_query = minimize(
-                    ConjunctiveQuery(query.head, substitute_terms(query.body, merge))
+                    unchecked_query(query.head, substitute_terms(query.body, merge))
                 )
             base, origin = None, ()
             texts: list[str] = []
@@ -391,7 +392,7 @@ def _rules_for_group(
         if constants and undecided != 1:
             # members other than the representative see other constants
             reopen = {c: SymbolicConstant(i) for i, c in enumerate(constants, 1)}
-            reopened = ConjunctiveQuery(
+            reopened = unchecked_query(
                 antecedent.head, substitute_terms(antecedent.body, reopen)
             )
             entry = grouped.get(reopened)

@@ -89,7 +89,8 @@ class ConjunctiveQuery(tuple):
 
     The query is the tuple ``(head, body)``, so hashing and equality run in
     C.  Head entries must be distinct variables, each of which occurs in
-    the body.
+    the body.  The constructor checks this; the query algebra builds its
+    queries by ``unchecked_query``.
     """
 
     __slots__ = ()
@@ -142,6 +143,20 @@ class ConjunctiveQuery(tuple):
         return f"Q({head}) :- {', '.join(atoms)}"
 
 
+def unchecked_query(
+    head: tuple[Variable, ...], body: frozenset[Atom]
+) -> ConjunctiveQuery:
+    """A query built without the checks of ``ConjunctiveQuery.__new__``.
+
+    For the query algebra alone, whose operators make valid queries from
+    valid ones: renamings, substitutions that keep every head variable,
+    removals that strand none.  ``tests/test_properties.py`` checks that
+    every query they build passes the checked constructor.  Queries from
+    outside the program, such as ``parse_query``'s, are checked.
+    """
+    return tuple.__new__(ConjunctiveQuery, (head, body))
+
+
 # ---------------------------------------------------------------------------
 # term helpers
 # ---------------------------------------------------------------------------
@@ -190,7 +205,7 @@ def instantiate(
     mapping: dict[Term, Term] = {
         sym: Constant(value) for sym, value in assignment.items()
     }
-    return ConjunctiveQuery(query.head, substitute_terms(query.body, mapping))
+    return unchecked_query(query.head, substitute_terms(query.body, mapping))
 
 
 def check_against_schema(query: ConjunctiveQuery, schema: Schema) -> None:
@@ -268,8 +283,11 @@ class _Parser:
             return Variable(name)
         raise QueryError("expected a variable, constant, or symbolic constant")
 
-    def term_list(self) -> tuple[Term, ...]:
+    def term_list(self, allow_empty: bool = False) -> tuple[Term, ...]:
         self.take("lparen")
+        if allow_empty and self.peek() == "rparen":
+            self.take("rparen")
+            return ()
         terms = [self.term()]
         while self.peek() == "comma":
             self.take("comma")
@@ -292,7 +310,8 @@ def parse_query(text: str, schema: Schema | None = None) -> ConjunctiveQuery:
     """
     parser = _Parser(text)
     parser.take("name")
-    head_terms = parser.term_list()
+    # an empty head parses, so that the constructor rejects it by name
+    head_terms = parser.term_list(allow_empty=True)
     for term in head_terms:
         if not isinstance(term, Variable):
             raise QueryError(f"head term {render_term(term)} is not a variable")
@@ -450,9 +469,7 @@ def canonical_form(
     for relation, args in query.body:
         atom = Atom(relation, tuple(map(get, args, args)))
         body.append(intern(atom, atom))
-    # an injective renaming of a valid query is valid, so it skips the checks
-    # of ConjunctiveQuery.__new__
-    return text, tuple.__new__(ConjunctiveQuery, (head, frozenset(body)))
+    return text, unchecked_query(head, frozenset(body))
 
 
 def canonical_text(

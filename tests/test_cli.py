@@ -536,6 +536,28 @@ def test_malformed_query_exit_3(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# the algebra builds its queries unchecked, so every query from the command
+# line must meet the checked constructor
+INVALID_QUERIES = {
+    "Q(x) :- likes(y, z)": "head variable x does not occur in the body",
+    "Q(x, x) :- likes(x, y)": "head variables must be distinct",
+    "Q() :- likes(x, y)": "query head must list at least one variable",
+}
+QUERY_COMMANDS = {
+    "eval": ["eval", "--schema", SCHEMA, "--data", str(BEER)],
+    "contain": ["contain", "--schema", SCHEMA, "Q(x) :- likes(x, y)"],
+    "sql": ["sql", "--schema", SCHEMA],
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUERY_COMMANDS))
+@pytest.mark.parametrize("text", sorted(INVALID_QUERIES))
+def test_invalid_query_exit_3_with_the_constructor_message(capsys, command, text):
+    rc = main([*QUERY_COMMANDS[command], text])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {INVALID_QUERIES[text]}\n"
+
+
 # ---------------------------------------------------------------------------
 # eval / contain / sql
 # ---------------------------------------------------------------------------

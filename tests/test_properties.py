@@ -10,15 +10,42 @@ the class its own minimization and canonical form would give.  Every
 support is one grouped count, which for a query without placeholders must
 be its answer count at the one empty assignment.  The text-only renderers
 must give the text of the instantiated query's canonical form.
+
+Phase 1 skips work it can prove redundant, and the lemmas behind each cut
+are checked here: a split of a minimized query without placeholders is
+never diagonally contained in it, both survivors of a join of two head
+variables are one class, and minimization leaves no redundant atom though
+it never tries an atom whose terms are all fixed.  The algebra builds its
+queries unchecked, so every query it builds must pass the checked
+constructor.
 """
+
+import contextlib
+import sys
+from collections import Counter
+from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracle
-from cqmine.containment import is_equivalent, minimize
+from cqmine import containment, generalization, phase1, phase2
+from cqmine import queries as queries_module
+from cqmine.containment import is_diagonally_contained, is_equivalent, minimize
 from cqmine.evaluation import GroupedSupport, support, support_grouped
-from cqmine.phase1 import MinerConfig, MinerState, QueryRecord, _shape, class_of
+from cqmine.generalization import atom_removals, splits
+from cqmine.phase1 import (
+    MinerConfig,
+    MinerState,
+    QueryRecord,
+    _shape,
+    class_of,
+    immediate_generalizations,
+    run_phase1,
+    specializations,
+)
+from cqmine.phase2 import RuleConfig, run_phase2
 from cqmine.queries import (
     Atom,
     ConjunctiveQuery,
@@ -30,6 +57,7 @@ from cqmine.queries import (
     fresh_symbolic_constant,
     fresh_variable,
     instantiate,
+    parse_query,
     substitute_terms,
 )
 from cqmine.relational import Instance, RelationDecl, Schema
@@ -179,6 +207,12 @@ def test_canonical_text_is_the_least_rendering(query):
         assert text == _oracle.least_rendering(query, modulo_head_permutation)
 
 
+def pinned(query):
+    """Each placeholder of ``query`` bound to a constant of its own, which
+    no homomorphism may move."""
+    return {s: f"#{s.index}" for s in query.symbolic_constants()}
+
+
 @PROPERTY
 @given(queries())
 def test_minimize_is_idempotent_and_equivalent(query):
@@ -186,10 +220,10 @@ def test_minimize_is_idempotent_and_equivalent(query):
     assert minimize(reduced) == reduced
     assert reduced.head == query.head
     assert reduced.body <= query.body
-    # placeholders stay fixed: bind each to a constant of its own, which no
-    # homomorphism may move
-    pinned = {s: f"#{s.index}" for s in query.symbolic_constants()}
-    assert is_equivalent(instantiate(query, pinned), instantiate(reduced, pinned))
+    # placeholders stay fixed
+    assert is_equivalent(
+        instantiate(query, pinned(query)), instantiate(reduced, pinned(query))
+    )
 
 
 SCHEMA = Schema(
@@ -281,3 +315,112 @@ def test_text_renderers_give_the_instantiated_canonical_text(drawn):
         expected.append(text)
     record = QueryRecord(query, grouped.best(), 1, grouped)
     assert record.texts == tuple(expected)
+
+
+@PROPERTY
+@given(queries())
+def test_minimize_leaves_no_redundant_atom(query):
+    # every atom is tried here, those whose terms are all fixed too, and by
+    # the oracle's criterion: the body without the atom contains the body
+    reduced = instantiate(minimize(query), pinned(query))
+    for atom in reduced.body:
+        rest = reduced.body - {atom}
+        rest_variables = {t for other in rest for t in other.args if t[0] == "v"}
+        if rest and set(reduced.head) <= rest_variables:
+            smaller = ConjunctiveQuery(reduced.head, rest)
+            assert not _oracle.contained_no_symbolics(smaller, reduced), atom
+
+
+@PROPERTY
+@given(queries())
+def test_splits_of_minimized_queries_without_placeholders_are_strict(query):
+    # why phase 1 checks no split of such a query for strictness
+    reduced = minimize(without_placeholders(query))
+    for split in splits(reduced, len(reduced.body)):
+        assert len(split.body) == len(reduced.body)
+        assert not is_diagonally_contained(split, reduced), split
+
+
+def test_a_split_with_placeholders_can_collapse_back():
+    # placeholders move under containment but not under minimization, so
+    # phase 1 keeps the strictness check for splits of such queries
+    query = parse_query("Q(x1) :- likes($c1, x1), likes($c2, x1)")
+    split = parse_query("Q(x1) :- likes($c1, x1), likes($c2, g1)")
+    assert minimize(query) == query
+    assert split in set(splits(query, len(query.body)))
+    assert is_diagonally_contained(split, query)
+    state = MinerState(MinerConfig(minsup=1), SCHEMA)
+    parents = {key for key, _ in immediate_generalizations(query, state)}
+    assert class_of(split, state)[0] not in parents
+    assert class_of(parse_query("Q(x1) :- likes($c1, x1)"), state)[0] in parents
+
+
+@PROPERTY
+@given(queries())
+def test_both_survivors_of_a_head_join_are_one_class(query):
+    # why phase 1 keeps one survivor when it joins two head variables
+    assume(query.arity >= 2)
+    left, right = query.head[:2]
+
+    def joined(keep, drop):
+        head = tuple(v for v in query.head if v != drop)
+        return ConjunctiveQuery(head, substitute_terms(query.body, {drop: keep}))
+
+    def key(joined_query):
+        state = MinerState(KEY_ATOM_MODES["unordered"], Schema(()))
+        return class_of(joined_query, state)[0]
+
+    assert key(joined(left, right)) == key(joined(right, left))
+
+
+ALGEBRA = (queries_module, containment, generalization, phase1, phase2)
+
+
+@contextlib.contextmanager
+def checked_algebra():
+    """Every module of the algebra builds its queries through the checked
+    constructor instead of ``unchecked_query``; yields a count of the
+    queries built, by the name of the function that built them."""
+    builders = Counter()
+
+    def checked(head, body):
+        builders[sys._getframe(1).f_code.co_name] += 1
+        return ConjunctiveQuery(head, body)
+
+    with contextlib.ExitStack() as stack:
+        for module in ALGEBRA:
+            stack.enter_context(mock.patch.object(module, "unchecked_query", checked))
+        yield builders
+
+
+@PROPERTY
+@given(queries(), st.sampled_from(sorted(KEY_ATOM_MODES)))
+def test_the_algebra_builds_valid_queries(query, mode):
+    key_atom = KEY_ATOM_MODES[mode].key_atom
+    config = MinerConfig(minsup=1, max_atoms=4, key_atom=key_atom)
+    with checked_algebra():
+        list(atom_removals(query))
+        list(splits(query, 4))
+        minimize(query)
+        instantiate(query, pinned(query))
+        state = MinerState(config, SCHEMA)
+        specializations(query, state)
+        list(immediate_generalizations(class_of(query, state)[1], state))
+
+
+def test_a_mining_run_builds_valid_queries(beer_instance):
+    # phase 2's merges of placeholders and re-openings of constants, too
+    with checked_algebra() as builders:
+        state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
+        run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2)))
+    assert {
+        "atom_removals",
+        "inverse_substitutions",
+        "specializations",
+        "immediate_generalizations",
+        "minimize",
+        "instantiate",
+        "canonical_form",
+        "_consequent_groups",
+        "decide",
+    } <= set(builders)

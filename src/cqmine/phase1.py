@@ -19,10 +19,9 @@ order is kept.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import re
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
@@ -31,12 +30,12 @@ from .generalization import atom_removals, splits
 from .queries import (
     Atom,
     ConjunctiveQuery,
-    Term,
     Variable,
     canonical_form,
     fresh_symbolic_constant,
     fresh_variable,
     instance_texts,
+    shape,
     substitute_terms,
     unchecked_query,
 )
@@ -147,21 +146,20 @@ class Level(NamedTuple):
 
 
 class MinerState:
-    """Everything accumulated by a mining run, and the run's memos.
+    """Everything accumulated by a mining run, and phase 1's memos.
 
-    ``classes`` maps the shape of every raw query ``class_of`` has keyed to
-    its ``(key, representative)`` pair, so a renaming of a query already
-    keyed costs one shape and one lookup.  The ``canonical_form`` and
-    ``minimize`` memos serve phase 2's generalization steps alone, the
-    renderings that many walks ask for again; phase 1 keys classes by shape,
-    and one-off renderings, such as each record's ``texts``, go through the
-    plain functions.  ``parents`` holds the generalization keys of each
-    class ``admission`` walked in full.
+    ``classes`` maps the ``queries.shape`` of every raw query ``class_of``
+    has keyed to its ``(key, representative)`` pair, so a renaming of a
+    query already keyed costs one shape and one lookup.  ``parents`` holds
+    the generalization keys of each class ``admission`` walked in full.
+    Phase 2 keeps its own memo of walk forms, keyed by shape too, for one
+    ``run_phase2`` call; one-off renderings, such as each record's
+    ``texts``, go through the plain functions.
 
     ``atoms`` is the run's atom table: every ``canonical_form`` of the run
     interns the atoms of its renamed body there, so each distinct atom the
     run keeps (in class representatives, records, group bases and walk
-    steps) is one object.  All live as long as the state.
+    forms) is one object.  All live as long as the state.
     """
 
     __slots__ = (
@@ -173,8 +171,6 @@ class MinerState:
         "parents",
         "classes",
         "atoms",
-        "canonical_form",
-        "minimize",
     )
 
     def __init__(self, config: MinerConfig, schema: Schema) -> None:
@@ -186,10 +182,6 @@ class MinerState:
         self.parents: dict[str, list[str]] = {}
         self.classes: dict[tuple, tuple[str, ConjunctiveQuery]] = {}
         self.atoms: dict[Atom, Atom] = {}
-        self.canonical_form: Callable = functools.lru_cache(maxsize=None)(
-            functools.partial(canonical_form, atoms=self.atoms)
-        )
-        self.minimize: Callable = functools.lru_cache(maxsize=None)(minimize)
 
     def frequent_records(self) -> list[QueryRecord]:
         return [
@@ -234,53 +226,6 @@ def _used_names(query: ConjunctiveQuery) -> set[str]:
     return {variable.name for variable in query.variables()}
 
 
-def _shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
-    """A rendering of ``query`` that renaming its variables and placeholders
-    leaves unchanged, and so does reordering its head unless ``head_ordered``.
-
-    Atoms are sorted by relation, then by a name-free signature: each
-    argument is its literal constant, or its kind with the position of its
-    first occurrence in the atom and, for a head variable, a head mark (its
-    head position when ``head_ordered``).  Raw terms break the remaining
-    ties.  Variables and placeholders are then numbered in order of first
-    occurrence, placeholders negative.  The shape is one flat tuple: the
-    head's numbers, then each atom's relation followed by its arguments.
-    Equal shapes mean the two queries are renamings of each other;
-    renamings whose ties broke differently only get different shapes.
-    """
-    head, body = query
-    if head_ordered:
-        marks = {variable: i for i, variable in enumerate(head)}
-    else:
-        marks = dict.fromkeys(head, 0)
-    mark = marks.get
-    decorated = []
-    for atom in body:
-        args = atom[1]
-        signature = [
-            term if term[0] == "c" else (term[0], args.index(term), mark(term, -1))
-            for term in args
-        ]
-        decorated.append((atom[0], signature, args))
-    decorated.sort()
-    numbers: dict[Term, int] = {}
-    shape: list = []
-    for relation, _, args in decorated:
-        shape.append(relation)
-        for term in args:
-            if term[0] != "c":
-                number = numbers.get(term)
-                if number is None:
-                    count = len(numbers)
-                    number = numbers[term] = count if term[0] == "v" else ~count
-                term = number
-            shape.append(term)
-    head_numbers = [numbers[variable] for variable in head]
-    if not head_ordered:
-        head_numbers.sort()
-    return (*head_numbers, *shape)
-
-
 def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, ConjunctiveQuery]:
     """The key of a query's class and the class representative.
 
@@ -291,16 +236,16 @@ def class_of(query: ConjunctiveQuery, state: MinerState) -> tuple[str, Conjuncti
     its head, so the head order is kept and representatives list the
     anchor's arguments in order.
 
-    Results are memoized in ``state.classes`` by the query's ``_shape``: a
+    Results are memoized in ``state.classes`` by the query's ``shape``: a
     renaming of a query already keyed (and, without a key atom, a head
     reordering) has an isomorphic core and so the same key and
     representative.  A miss minimizes and renders the query.
     """
     head_ordered = state.config.key_atom is not None
-    shape = _shape(query, head_ordered)
-    found = state.classes.get(shape)
+    key = shape(query, head_ordered)
+    found = state.classes.get(key)
     if found is None:
-        found = state.classes[shape] = canonical_form(
+        found = state.classes[key] = canonical_form(
             minimize(query),
             modulo_head_permutation=not head_ordered,
             atoms=state.atoms,

@@ -34,18 +34,20 @@ antecedents only.  A branch ends when that set is empty, and a form reached
 again by further members is expanded again for those alone.  A discovery
 without placeholders is a group of one.
 
-Groups share most of the forms their walks pass through.  One step table
-per ``run_phase2`` call maps a form's canonical raw text to its
-generalization steps, each already canonicalized and minimized, so a form
-is expanded once per run however many walks reach it.  One support table
-per call maps a minimized query's canonical text, head order kept, to its
-support.  It starts with every consequent's count from phase 1, and an
-antecedent it lacks is counted once and added.  An antecedent that keeps
-constants has a support per member.  For the representative alone it comes
-from the support table; otherwise one grouped count of the antecedent with
-its constants re-opened as placeholders, made once per run for each
-re-opened query and without a minimum support, serves every member of
-every group that reaches it.  Rule sides are always the instantiated
+Groups share most of the forms their walks pass through.  One form memo
+per ``run_phase2`` call maps a raw form's ``queries.shape``, head order
+kept (phase 1 keys its classes by the same function), to the form's
+canonical rendering, its minimized class, the class's constants and, once
+a walk expands the form, its generalization steps.  So a renaming is
+rendered and minimized once, and a form is expanded once per run however
+many walks reach it.  One support table per call maps a minimized query's
+canonical text, head order kept, to its support.  It starts with every
+consequent's count from phase 1, and an antecedent it lacks is counted once
+and added.  An antecedent that keeps constants has a support per member.
+For the representative alone it comes from the support table; otherwise
+one grouped count of the antecedent with its constants re-opened as
+placeholders, made once per run for each re-opened query and without a
+minimum support, serves every member of every group that reaches it.  Rule sides are always the instantiated
 queries' own canonical texts, made by ``canonical_text`` or read from the
 records, whose ``instance_texts`` puts values into one rendering only where
 no relation repeats: elsewhere instantiation can reorder the least
@@ -71,12 +73,14 @@ from .evaluation import support, support_grouped
 from .generalization import atom_removals, splits
 from .phase1 import MinerState
 from .queries import (
+    Atom,
     ConjunctiveQuery,
     Constant,
     SymbolicConstant,
     canonical_form,
     canonical_text,
     instantiate,
+    shape,
     substitute_terms,
     unchecked_query,
 )
@@ -169,22 +173,74 @@ class AssociationRule:
 # ---------------------------------------------------------------------------
 
 
+class _Form:
+    """A raw form a walk passes through: the run's memo entry for its shape.
+
+    ``text`` and ``form`` are the raw query's canonical text and renamed
+    query, not minimized; ``class_text`` and ``class_form`` are those of its
+    minimized class, and ``constants`` the class's constants in order.
+    ``steps`` is ``None`` until a walk first expands the form, and then the
+    forms one generalization step away, in generation order (atom removals,
+    then splits).
+    """
+
+    __slots__ = ("text", "form", "class_text", "class_form", "constants", "steps")
+
+    def __init__(
+        self,
+        text: str,
+        form: ConjunctiveQuery,
+        class_text: str,
+        class_form: ConjunctiveQuery,
+    ) -> None:
+        self.text = text
+        self.form = form
+        self.class_text = class_text
+        self.class_form = class_form
+        self.constants = tuple(sorted(class_form.constants()))
+        self.steps: list[_Form] | None = None
+
+
+def _form_of(
+    raw: ConjunctiveQuery, forms: dict[tuple, _Form], atoms: dict[Atom, Atom]
+) -> _Form:
+    """The entry of ``raw`` in the run's form memo ``forms``, made on a miss.
+
+    Queries of equal ``shape`` are renamings, with one canonical form, so
+    one entry serves them all.  A miss renders ``raw``, interning its atoms
+    in ``atoms``, and minimizes the form.  ``minimize`` returns its input
+    when no atom is redundant, and a canonical form is its own canonical
+    form, so then the class is the form itself and is not rendered again.
+    """
+    key = shape(raw, True)
+    entry = forms.get(key)
+    if entry is None:
+        text, form = canonical_form(raw, atoms=atoms)
+        minimal = minimize(form)
+        if minimal is form:
+            entry = _Form(text, form, text, form)
+        else:
+            entry = _Form(text, form, *canonical_form(minimal, atoms=atoms))
+        forms[key] = entry
+    return entry
+
+
 class _Group(NamedTuple):
     """Consequents that share one walk, representative first.
 
-    ``base`` is the representative's minimized, canonically renamed query.
-    ``texts`` and ``counts`` are each member's canonical text and support.
-    ``renamings`` carries the representative's constants to each member's
-    (empty for the representative itself).
+    ``base`` is the form memo's entry for the representative's minimized
+    query.  ``texts`` and ``counts`` are each member's canonical text and
+    support.  ``renamings`` carries the representative's constants to each
+    member's (empty for the representative itself).
     """
 
-    base: ConjunctiveQuery
+    base: _Form
     texts: list[str]
     counts: list[int]
     renamings: list[dict[Constant, Constant]]
 
 
-def _consequent_groups(state: MinerState) -> list[_Group]:
+def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Group]:
     """Every frequent query eligible as a rule consequent, once, in groups.
 
     A discovery with placeholders has one consequent per frequent constant
@@ -203,9 +259,8 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
     merging pattern: there the record shows the raw instantiation, while
     the consequent is its minimized class, so those members' texts are
     rendered from the minimized pattern by ``canonical_text``.  Only each
-    group's first member gets a full ``canonical_form``, for the form its
-    walk starts from, and its atoms go into the run's atom table.  One-off
-    renderings go through the plain functions, not the run's memos.
+    group's first member is instantiated, for the form its walk starts
+    from, which it looks up in the form memo ``forms``.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
@@ -243,10 +298,11 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
                     continue
                 claimed.add(text)
                 if base is None:
-                    base = canonical_form(
+                    base = _form_of(
                         instantiate(pattern_query, dict(zip(free_symbols, values))),
-                        atoms=state.atoms,
-                    )[1]
+                        forms,
+                        state.atoms,
+                    )
                     origin = values
                 texts.append(text)
                 counts.append(count)
@@ -258,36 +314,20 @@ def _consequent_groups(state: MinerState) -> list[_Group]:
     return groups
 
 
-_Step = tuple[str, ConjunctiveQuery, str, ConjunctiveQuery, tuple[Constant, ...]]
-
-
 def _steps_of(
-    form_text: str,
-    form: ConjunctiveQuery,
-    table: dict[str, list[_Step]],
-    state: MinerState,
-) -> list[_Step]:
-    """The walk steps from ``form``, generated once per run and then shared.
-
-    Each step is ``(raw_text, raw_form, antecedent_text, antecedent,
-    constants)``: the generalized body, canonically renamed but not
-    minimized, its minimized class, and the class's constants in order, in
-    generation order (atom removals, then splits).
-    ``form`` is a canonical rendering, so ``form_text`` determines it.  Both
-    renderings go through the state's memos, which serve nothing else: steps
-    of different forms share many raw bodies and classes.
-    """
-    steps = table.get(form_text)
+    entry: _Form, forms: dict[tuple, _Form], state: MinerState
+) -> list[_Form]:
+    """The walk steps from ``entry``'s form, generated once per run and then
+    shared: steps of different forms share many raw bodies and classes."""
+    steps = entry.steps
     if steps is None:
-        canonical_form, minimize = state.canonical_form, state.minimize
-        steps = []
-        max_atoms = state.config.max_atoms
-        for raw in itertools.chain(atom_removals(form), splits(form, max_atoms)):
-            raw_text, raw_form = canonical_form(raw)
-            antecedent_text, antecedent = canonical_form(minimize(raw_form))
-            constants = tuple(sorted(antecedent.constants()))
-            steps.append((raw_text, raw_form, antecedent_text, antecedent, constants))
-        table[form_text] = steps
+        form, atoms = entry.form, state.atoms
+        steps = entry.steps = [
+            _form_of(raw, forms, atoms)
+            for raw in itertools.chain(
+                atom_removals(form), splits(form, state.config.max_atoms)
+            )
+        ]
     return steps
 
 
@@ -355,13 +395,13 @@ def _rules_for_group(
     config: RuleConfig,
     supports: dict[str, int],
     grouped: dict[ConjunctiveQuery, _Counted],
-    table: dict[str, list[_Step]],
+    forms: dict[tuple, _Form],
     rules: _Rules,
 ) -> None:
     texts, counts, renamings = group.texts, group.counts, group.renamings
     # each member's value of each of the representative's constants, looked
     # up by ``decide`` for its key into a grouped count
-    base_constants = group.base.constants()
+    base_constants = group.base.form.constants()
     value_of = [
         {c: renaming.get(c, c)[1] for c in base_constants}.__getitem__
         for renaming in renamings
@@ -441,30 +481,29 @@ def _rules_for_group(
     frontier = {base_text: [group.base, everyone]}
     while frontier:
         next_frontier: dict[str, list] = {}
-        for form_text, (form, live) in frontier.items():
-            for raw_text, raw_form, antecedent_text, antecedent, constants in _steps_of(
-                form_text, form, table, state
-            ):
+        for entry, live in frontier.values():
+            for step in _steps_of(entry, forms, state):
+                raw_text = step.text
                 earlier = reached.get(raw_text, 0)
                 new = live & ~earlier
                 if not new:
                     continue
                 reached[raw_text] = earlier | new
-                verdict = verdicts.get(antecedent_text)
+                verdict = verdicts.get(step.class_text)
                 if verdict is None:
-                    verdict = verdicts[antecedent_text] = [0, 0]
+                    verdict = verdicts[step.class_text] = [0, 0]
                 undecided = new & ~verdict[0]
                 if undecided:
                     verdict[0] |= undecided
                     verdict[1] |= decide(
-                        antecedent_text, antecedent, constants, undecided
+                        step.class_text, step.class_form, step.constants, undecided
                     )
                 confident = new & verdict[1]
                 if not confident:
                     continue  # every further generalization is even less confident
                 pending = next_frontier.get(raw_text)
                 if pending is None:
-                    next_frontier[raw_text] = [raw_form, confident]
+                    next_frontier[raw_text] = [step, confident]
                 else:
                     pending[1] |= confident
         frontier = next_frontier
@@ -481,20 +520,20 @@ def run_phase2(
     a consequent, and its antecedents are explored from most to least
     confident, one walk per group of consequents that differ only by their
     constants.  The walks share one support table, seeded with the
-    consequents' supports, one table of grouped counts, one step table and
+    consequents' supports, one table of grouped counts, one form memo and
     the rules' shared parts.  The result is sorted by descending confidence,
     then antecedent and consequent text (with the trailing period, as
     printed).
     """
-    groups = _consequent_groups(state)
+    forms: dict[tuple, _Form] = {}
+    groups = _consequent_groups(state, forms)
     supports = {
         text: count
         for group in groups
         for text, count in zip(group.texts, group.counts)
     }
     grouped: dict[ConjunctiveQuery, _Counted] = {}
-    table: dict[str, list[_Step]] = {}
     rules = _Rules()
     for group in groups:
-        _rules_for_group(group, state, instance, config, supports, grouped, table, rules)
+        _rules_for_group(group, state, instance, config, supports, grouped, forms, rules)
     return rules.ordered()

@@ -472,6 +472,55 @@ def canonical_form(
     return text, unchecked_query(head, frozenset(body))
 
 
+def shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
+    """A rendering of ``query`` that renaming its variables and placeholders
+    leaves unchanged, and so does reordering its head unless ``head_ordered``.
+
+    Atoms are sorted by relation, then by a name-free signature: each
+    argument is its literal constant, or its kind with the position of its
+    first occurrence in the atom and, for a head variable, a head mark (its
+    head position when ``head_ordered``).  Raw terms break the remaining
+    ties.  Variables and placeholders are then numbered in order of first
+    occurrence, placeholders negative.  The shape is one flat tuple: the
+    head's numbers, then each atom's relation followed by its arguments.
+    Equal shapes mean the two queries are renamings of each other, with
+    equal canonical forms (over all head orders unless ``head_ordered``);
+    renamings whose ties broke differently only get different shapes.  Both
+    phases key their memos by it: phase 1's classes, phase 2's walk forms.
+    """
+    head, body = query
+    if head_ordered:
+        marks = {variable: i for i, variable in enumerate(head)}
+    else:
+        marks = dict.fromkeys(head, 0)
+    mark = marks.get
+    decorated = []
+    for atom in body:
+        args = atom[1]
+        signature = [
+            term if term[0] == "c" else (term[0], args.index(term), mark(term, -1))
+            for term in args
+        ]
+        decorated.append((atom[0], signature, args))
+    decorated.sort()
+    numbers: dict[Term, int] = {}
+    flat: list = []
+    for relation, _, args in decorated:
+        flat.append(relation)
+        for term in args:
+            if term[0] != "c":
+                number = numbers.get(term)
+                if number is None:
+                    count = len(numbers)
+                    number = numbers[term] = count if term[0] == "v" else ~count
+                term = number
+            flat.append(term)
+    head_numbers = [numbers[variable] for variable in head]
+    if not head_ordered:
+        head_numbers.sort()
+    return (*head_numbers, *flat)
+
+
 def canonical_text(
     query: ConjunctiveQuery, substitution: Mapping[Term, Term] | None = None
 ) -> str:

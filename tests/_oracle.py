@@ -18,6 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
+from cqmine.containment import minimize
 from cqmine.errors import DataError
 from cqmine.evaluation import support
 from cqmine.generalization import atom_removals, splits
@@ -34,6 +35,7 @@ from cqmine.queries import (
     SymbolicConstant,
     Term,
     Variable,
+    canonical_form,
     canonical_text,
     instantiate,
     parse_query,
@@ -355,12 +357,26 @@ def random_instance(rng: random.Random, beer_schema: Schema, max_rows: int = 12)
 #
 # One walk per consequent, with no grouping of constant assignments: every
 # frequent assignment of a placeholder discovery is instantiated, minimized
-# and walked on its own.  It keeps the step and support tables, so it is
-# quick enough to check ``run_phase2`` rule for rule.
+# and walked on its own.  It keeps the step and support tables, and memos of
+# the plain ``canonical_form`` and ``minimize`` by query, its own and shared
+# with nothing in ``cqmine``, so it is quick enough to check ``run_phase2``
+# rule for rule.
+
+
+class _Memo(dict):
+    """``function``'s result by argument, computed on the first lookup."""
+
+    def __init__(self, function: Callable) -> None:
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, argument):
+        result = self[argument] = self.function(argument)
+        return result
 
 
 def _reference_consequents(
-    state: MinerState,
+    state: MinerState, canonical: _Memo, minimal: _Memo
 ) -> dict[str, tuple[ConjunctiveQuery, int]]:
     """Canonical text -> (representative, support) of every consequent."""
     consequents: dict[str, tuple[ConjunctiveQuery, int]] = {}
@@ -368,13 +384,18 @@ def _reference_consequents(
         grouped = record.frequent_constants
         for assignment, count in grouped.sorted_items():
             query = instantiate(record.query, dict(zip(grouped.symbols, assignment)))
-            text, representative = state.canonical_form(state.minimize(query))
+            text, representative = canonical[minimal[query]]
             consequents.setdefault(text, (representative, count))
     return consequents
 
 
 def _reference_steps(
-    form_text: str, form: ConjunctiveQuery, table: dict, state: MinerState
+    form_text: str,
+    form: ConjunctiveQuery,
+    table: dict,
+    state: MinerState,
+    canonical: _Memo,
+    minimal: _Memo,
 ) -> list[tuple[str, ConjunctiveQuery, str, ConjunctiveQuery]]:
     """Raw and minimized canonical forms one step from ``form``, memoized."""
     steps = table.get(form_text)
@@ -383,10 +404,8 @@ def _reference_steps(
         for raw in itertools.chain(
             atom_removals(form), splits(form, state.config.max_atoms)
         ):
-            raw_text, raw_form = state.canonical_form(raw)
-            steps.append(
-                (raw_text, raw_form, *state.canonical_form(state.minimize(raw_form)))
-            )
+            raw_text, raw_form = canonical[raw]
+            steps.append((raw_text, raw_form, *canonical[minimal[raw_form]]))
         table[form_text] = steps
     return steps
 
@@ -400,6 +419,8 @@ def _reference_walk(
     config: RuleConfig,
     supports: dict[str, int],
     table: dict,
+    canonical: _Memo,
+    minimal: _Memo,
 ) -> list[AssociationRule]:
     text = base_text + "."
     rules = []
@@ -413,7 +434,7 @@ def _reference_walk(
         next_frontier = []
         for form_text, form in frontier:
             for raw_text, raw_form, antecedent_text, antecedent in _reference_steps(
-                form_text, form, table, state
+                form_text, form, table, state, canonical, minimal
             ):
                 if raw_text in visited:
                     continue
@@ -439,14 +460,24 @@ def reference_rules(
     state: MinerState, instance: Instance, config: RuleConfig
 ) -> list[AssociationRule]:
     """``run_phase2``'s rules, in its order, from one walk per consequent."""
-    consequents = _reference_consequents(state)
+    canonical, minimal = _Memo(canonical_form), _Memo(minimize)
+    consequents = _reference_consequents(state, canonical, minimal)
     supports = {text: count for text, (_, count) in consequents.items()}
     table: dict = {}
     rules = [
         rule
         for text, (consequent, count) in consequents.items()
         for rule in _reference_walk(
-            text, consequent, count, state, instance, config, supports, table
+            text,
+            consequent,
+            count,
+            state,
+            instance,
+            config,
+            supports,
+            table,
+            canonical,
+            minimal,
         )
     ]
     return sorted(rules, key=lambda r: (-r.confidence, r.antecedent, r.consequent))

@@ -249,6 +249,41 @@ def test_large_beer_report_bytes_are_pinned(tmp_path):
     assert digests == PINNED_LARGE_REPORTS
 
 
+# sha256 of the three reports of the 100-row run: perfbench/gen.py at seed 1
+# (100 rows, 40 drinkers, 16 bars, 20 beers) at --max-atoms 2 --minsup 3
+# --minconf 0.5, laid out as the bench lays out a workload (run.json records
+# the schema and data paths as given).  1,378 of its consequents are members
+# of patterns that merge placeholders.  Under -m slow, like the large run
+PINNED_HUNDRED_ROW_REPORTS = (
+    "63a6f52d9a43134a9cd5929692a5f593eae81156b340162e6990e897325ddd19",
+    "c8c38e4d965cc3e5fc846127821fc2c9323e40cd0803cfa6c2d538e115410fe1",
+    "0415afbafdab73c022ad51e7a702a33984edb7c8f07681644db6219c82e256b8",
+)
+
+
+@pytest.mark.slow
+def test_hundred_row_report_bytes_are_pinned(tmp_path):
+    bench_generator().generate(
+        tmp_path / "data", seed=1, rows=100, drinkers=40, bars=16, beers=20
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "data/schema.txt",
+            "--data", "data", "--out-dir", "out", "--max-atoms", "2",
+            "--minsup", "3", "--minconf", "0.5",
+        ],
+        capture_output=True,
+        cwd=tmp_path,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("frequent.txt", "rules.txt", "run.json")
+    )
+    assert digests == PINNED_HUNDRED_ROW_REPORTS
+
+
 def test_structured_stdout_equals_run_json(mine_out):
     result = subprocess.run(
         [

@@ -659,16 +659,3 @@ def test_run_keys_most_classes_from_the_memo(beer_instance, monkeypatch):
     assert calls["is_diagonally_contained"] == 0
     levels = json.dumps([list(level) for level in state.levels])
     assert hashlib.sha256(levels.encode()).hexdigest() == BEER_A3_LEVELS
-
-
-@pytest.mark.parametrize("anchored", [False, True])
-def test_run_leaves_the_canonical_form_memo_empty(beer_instance, beer_schema, anchored):
-    # phase 1 memoizes class keys by shape and renders each record's
-    # instances by the plain function; the canonical-form memo is for phase
-    # 2's walk steps, which never ask for phase 1's keys
-    key_atom = parse_key_atom("likes(_, _)", beer_schema) if anchored else None
-    state = run_phase1(
-        beer_instance, MinerConfig(minsup=2, max_atoms=2, key_atom=key_atom)
-    )
-    assert state.frequent_index and state.classes
-    assert state.canonical_form.cache_info().currsize == 0

@@ -493,7 +493,7 @@ def test_equal_values_form_a_group_of_their_own():
     state.frequent_index[key] = QueryRecord(representative, grouped.best(), 1, grouped)
     state.levels.append(Level(1, (key,), (key,)))
     # ('p', 'q') and ('q', 'p') give the same query, which is walked once
-    groups = cqmine.phase2._consequent_groups(state)
+    groups = cqmine.phase2._consequent_groups(state, {})
     assert [group.texts for group in groups] == [
         ["Q(x1) :- r(x1, 'p')", "Q(x1) :- r(x1, 'q')"],
         ["Q(x1) :- r(x1, 'p'), r(x1, 'q')"],
@@ -533,7 +533,7 @@ def test_records_carry_each_instance_text(maxtwo_state):
 
 
 def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch):
-    rendered, instantiated = [], []
+    rendered, instantiated, forms = [], [], []
 
     def rendering(query, substitution=None):
         rendered.append((query, substitution))
@@ -543,18 +543,23 @@ def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch
         instantiated.append(query)
         return instantiate(query, assignment)
 
+    def forming(query, **options):
+        forms.append(query)
+        return canonical_form(query, **options)
+
     monkeypatch.setattr(cqmine.reports, "canonical_text", rendering)
     for module in (cqmine.queries, cqmine.phase2):
         monkeypatch.setattr(module, "instantiate", instantiating)
-    # phase 2 has run on this state (``rules_half``) and filled its memo,
-    # which the writer neither reads nor fills
-    memo = maxtwo_state.canonical_form.cache_info()
+    for module in (cqmine.queries, cqmine.phase1, cqmine.phase2):
+        monkeypatch.setattr(module, "canonical_form", forming)
+    # phase 2 has run on this state (``rules_half``); the writer renders no
+    # full canonical form
     frequent_txt = io.StringIO()
     write_frequent(maxtwo_state, frequent_txt, io.StringIO())
     assert not hasattr(cqmine.reports, "instantiate")
     assert not hasattr(cqmine.reports, "canonical_form")
     assert instantiated == []
-    assert maxtwo_state.canonical_form.cache_info() == memo
+    assert forms == []
     # one rendering per discovery with placeholders: its headline
     records = maxtwo_state.frequent_records()
     assert rendered == [
@@ -586,7 +591,7 @@ def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch)
 
     monkeypatch.setattr(cqmine.phase2, "instantiate", instantiating)
     monkeypatch.setattr(cqmine.phase2, "canonical_text", rendering)
-    groups = cqmine.phase2._consequent_groups(maxtwo_state)
+    groups = cqmine.phase2._consequent_groups(maxtwo_state, {})
     records = maxtwo_state.frequent_records()
     # each group's first member alone is instantiated, for the form its walk
     # starts from
@@ -615,26 +620,61 @@ def test_query_algebra_keeps_no_process_wide_memo():
     assert not hasattr(cqmine.containment.minimize, "cache_info")
 
 
-def test_each_run_owns_its_memos(beer_instance):
+def phase2_calls(state, instance, config, monkeypatch):
+    """``run_phase2``'s rules and its calls of ``canonical_form`` and
+    ``minimize``, by name."""
+    calls = dict.fromkeys(("canonical_form", "minimize"), 0)
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    with monkeypatch.context() as patch:
+        for name in calls:
+            patch.setattr(
+                cqmine.phase2, name, counting(name, getattr(cqmine.phase2, name))
+            )
+        rules = run_phase2(state, instance, config)
+    return rules, calls
+
+
+def test_phase2_renders_each_walk_form_once_per_shape(beer_instance, monkeypatch):
+    # the walk's forms and classes come from one memo keyed by shape, and a
+    # form that is its own class is not rendered again
+    state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
+    config = RuleConfig(Fraction(1, 2))
+    rules, calls = phase2_calls(state, beer_instance, config, monkeypatch)
+    assert rules == reference_rules(state, beer_instance, config)
+    # 578 shapes, of which 72 have a class that drops an atom and is
+    # rendered too, and 39 minimized patterns that merge placeholders
+    assert calls == {"canonical_form": 650, "minimize": 617}
+    # 1,404 renderings when raw queries keyed two memos and texts a third
+    assert calls["canonical_form"] < 1404
+
+
+def test_each_run_owns_its_memos(beer_instance, monkeypatch):
     def mine(config):
         state = run_phase1(beer_instance, config)
-        rules = run_phase2(state, beer_instance, RuleConfig(Fraction(1)))
+        rules, calls = phase2_calls(
+            state, beer_instance, RuleConfig(Fraction(1)), monkeypatch
+        )
         run_json = io.StringIO()
         write_reports(state, rules, {}, run_json)
-        return state, run_json.getvalue()
+        return state, run_json.getvalue(), calls
 
     config = MinerConfig(minsup=2, max_atoms=2)
-    first, first_report = mine(config)
+    first, first_report, first_calls = mine(config)
     mine(MinerConfig(minsup=3, max_atoms=2, enable_constants=False))
-    second, second_report = mine(config)
+    second, second_report, second_calls = mine(config)
     assert second_report == first_report
-    assert second.canonical_form is not first.canonical_form
-    assert second.minimize is not first.minimize
     assert second.parents is not first.parents
     # the runs in between left nothing behind: the second run starts from
     # empty memos and does exactly the first run's work
-    assert second.canonical_form.cache_info() == first.canonical_form.cache_info()
-    assert second.minimize.cache_info() == first.minimize.cache_info()
+    assert second_calls == first_calls
+    assert min(first_calls.values()) > 0
     assert second.parents == first.parents
     # and from an empty atom table, sharing no atom with the first run
     assert second.atoms == first.atoms
@@ -651,12 +691,10 @@ def test_a_run_keeps_one_object_per_distinct_atom(beer_instance, monkeypatch):
         forms.append(form)
         return text, form
 
-    # the state's memo wraps phase 1's name, bound when the state is made
     monkeypatch.setattr(cqmine.phase1, "canonical_form", recording_canonical_form)
     monkeypatch.setattr(cqmine.phase2, "canonical_form", recording_canonical_form)
     state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
     run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2)))
-    assert state.canonical_form.cache_info().currsize > 0
     assert all(table is state.atoms for table in tables)
     kept = [atom for record in state.frequent_records() for atom in record.query.body]
     kept += [atom for form in forms for atom in form.body]

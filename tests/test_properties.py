@@ -6,7 +6,9 @@ named; the text must be the least rendering over all atom orders, as the
 enumerating oracle finds it; minimization must reach a fixed point that is
 equivalent to its input.  Phase 1 memoizes class keys by a shape that
 ignores the same names, which is sound only if renamed copies of a query get
-the class its own minimization and canonical form would give.  Every
+the class its own minimization and canonical form would give; phase 2
+memoizes its walk forms by that shape, head order kept, which is sound only
+if renamed copies get their own raw and minimized forms.  Every
 support is one grouped count, which for a query without placeholders must
 be its answer count at the one empty assignment.  The text-only renderers
 must give the text of the instantiated query's canonical form.
@@ -39,7 +41,6 @@ from cqmine.phase1 import (
     MinerConfig,
     MinerState,
     QueryRecord,
-    _shape,
     class_of,
     immediate_generalizations,
     run_phase1,
@@ -58,6 +59,7 @@ from cqmine.queries import (
     fresh_variable,
     instantiate,
     parse_query,
+    shape,
     substitute_terms,
 )
 from cqmine.relational import Instance, RelationDecl, Schema
@@ -172,7 +174,30 @@ def test_class_memo_agrees_on_renamed_copies(data, mode):
     texts = {}
     for query in originals + copies:
         text = canonical_form(query, modulo_head_permutation=not head_ordered)[0]
-        assert texts.setdefault(_shape(query, head_ordered), text) == text
+        assert texts.setdefault(shape(query, head_ordered), text) == text
+
+
+@PROPERTY
+@given(st.data())
+def test_form_memo_agrees_on_renamed_copies(data):
+    # phase 2 keys its walk forms by the same shape, head order kept, so a
+    # copy with its head reordered must get a form of its own
+    forms, atoms = {}, {}
+    originals = [data.draw(st.one_of(queries(), tied_queries())) for _ in range(3)]
+    copies = []
+    for query in originals:
+        for _ in range(3):
+            mapping = renaming(data, query)
+            head = data.draw(st.permutations([mapping[v] for v in query.head]))
+            body = substitute_terms(query.body, mapping)
+            copies.append(ConjunctiveQuery(tuple(head), body))
+    for raw in originals + copies:
+        entry = phase2._form_of(raw, forms, atoms)
+        assert (entry.text, entry.form) == canonical_form(raw)
+        class_text, class_form = canonical_form(minimize(raw))
+        assert (entry.class_text, entry.class_form) == (class_text, class_form)
+        assert entry.constants == tuple(sorted(class_form.constants()))
+        assert entry.steps is None
 
 
 @st.composite

@@ -284,6 +284,40 @@ def test_hundred_row_report_bytes_are_pinned(tmp_path):
     assert digests == PINNED_HUNDRED_ROW_REPORTS
 
 
+# sha256 of the three reports of the 1,000-row run: perfbench/gen.py at seed 1
+# (1,000 rows, 200 drinkers, 60 bars, 80 beers) at --max-atoms 2 --minsup 20
+# --minconf 0.5, laid out like the 100-row run.  Its 444,304 consequents make
+# it the byte-identity check of phase 2's groups at scale.  Under -m slow
+PINNED_THOUSAND_ROW_REPORTS = (
+    "2a2f171441e5eb4edc1276a2cc51c42982182f417028b1d60bf3e092b04a9a3e",
+    "be229a26d0b7db046cec0b4dd121f0be41f4794cd027084416f41a15c00ae389",
+    "444ba88eb829548941cf302bbb4595f05b31ded340611e4dbc2ed8f077bc03d2",
+)
+
+
+@pytest.mark.slow
+def test_thousand_row_report_bytes_are_pinned(tmp_path):
+    bench_generator().generate(
+        tmp_path / "data", seed=1, rows=1000, drinkers=200, bars=60, beers=80
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "cqmine", "mine", "--schema", "data/schema.txt",
+            "--data", "data", "--out-dir", "out", "--max-atoms", "2",
+            "--minsup", "20", "--minconf", "0.5",
+        ],
+        capture_output=True,
+        cwd=tmp_path,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    digests = tuple(
+        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+        for name in ("frequent.txt", "rules.txt", "run.json")
+    )
+    assert digests == PINNED_THOUSAND_ROW_REPORTS
+
+
 def test_structured_stdout_equals_run_json(mine_out):
     result = subprocess.run(
         [

@@ -18,7 +18,9 @@ adds 141 when the reader of stdout closes the pipe early.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .containment import (
@@ -108,18 +110,29 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     if args.out_dir:
         out_dir = Path(args.out_dir)
+        # each report is written beside its name and renamed over it once all
+        # three are whole, so a failed or stopped run leaves the previous
+        # run's reports as they were, and no temporary file
+        names = ("frequent.txt", "rules.txt", "run.json")
+        temporaries = [out_dir / f".{name}.{os.getpid()}.tmp" for name in names]
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
             with (
-                open(out_dir / "frequent.txt", "w", encoding="utf-8") as frequent_txt,
-                open(out_dir / "rules.txt", "w", encoding="utf-8") as rules_txt,
-                open(out_dir / "run.json", "w", encoding="utf-8") as run_json,
+                open(temporaries[0], "w", encoding="utf-8") as frequent_txt,
+                open(temporaries[1], "w", encoding="utf-8") as rules_txt,
+                open(temporaries[2], "w", encoding="utf-8") as run_json,
             ):
                 write_reports(
                     state, rules, parameters, run_json, frequent_txt, rules_txt
                 )
+            for temporary, name in zip(temporaries, names):
+                os.replace(temporary, out_dir / name)
         except OSError as exc:
             raise ConfigError(f"cannot write reports to {out_dir}: {exc}") from exc
+        finally:
+            for temporary in temporaries:
+                with suppress(OSError):
+                    temporary.unlink()
     elif args.format == "structured":
         write_reports(state, rules, parameters, sys.stdout)
     else:

@@ -28,11 +28,11 @@ constants.  Assignments with one equality pattern (the same placeholders
 share a value) give consequents that differ only by a renaming of
 constants, and so do the forms their walks pass through.  Such a *group* is
 walked once, from the first assignment's consequent, its representative;
-the other members come along as constant renamings.  Every form in the walk
-carries a bit mask of the members that reached it through confident
-antecedents only.  A branch ends when that set is empty, and a form reached
-again by further members is expanded again for those alone.  A discovery
-without placeholders is a group of one.
+a member is the tuple of its placeholders' values, aligned with the
+representative's.  Every form in the walk carries a bit mask of the members
+that reached it through confident antecedents only.  A branch ends when
+that set is empty, and a form reached again by further members is expanded
+again for those alone.  A discovery without placeholders is a group of one.
 
 Groups share most of the forms their walks pass through.  One form memo
 per ``run_phase2`` call maps a raw form's ``queries.shape``, head order
@@ -47,11 +47,11 @@ and added.  An antecedent that keeps constants has a support per member.
 For the representative alone it comes from the support table; otherwise
 one grouped count of the antecedent with its constants re-opened as
 placeholders, made once per run for each re-opened query and without a
-minimum support, serves every member of every group that reaches it.  Rule sides are always the instantiated
-queries' own canonical texts, made by ``canonical_text`` or read from the
-records, whose ``instance_texts`` puts values into one rendering only where
-no relation repeats: elsewhere instantiation can reorder the least
-rendering.
+minimum support, serves every member of every group that reaches it.
+Rule sides are always the instantiated queries' own canonical texts, made
+by ``canonical_text`` or read from the records, whose ``instance_texts``
+puts values into one rendering only where no relation repeats: elsewhere
+instantiation can reorder the least rendering.
 
 Rules share their parts.  Each member's printed consequent is made once,
 each printed antecedent once per run, and each confidence is one
@@ -230,14 +230,15 @@ class _Group(NamedTuple):
 
     ``base`` is the form memo's entry for the representative's minimized
     query.  ``texts`` and ``counts`` are each member's canonical text and
-    support.  ``renamings`` carries the representative's constants to each
-    member's (empty for the representative itself).
+    support.  ``values`` holds each member's values of the free placeholders,
+    aligned with the representative's: unless the pattern merges
+    placeholders, the record's own ``GroupedSupport.counts`` key.
     """
 
     base: _Form
     texts: list[str]
     counts: list[int]
-    renamings: list[dict[Constant, Constant]]
+    values: list[tuple[str, ...]]
 
 
 def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Group]:
@@ -278,18 +279,22 @@ def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Gr
             free = [i for i, label in enumerate(pattern) if label == i]
             merging = len(free) < len(pattern)
             pattern_query = query
+            # merging patterns stay: on beer at two atoms their members all
+            # repeat other texts, but at three (``--minsup 3``) dropping them
+            # loses 231 consequents, each another discovery's instance with
+            # its head reordered, and 2,387 of 440,070 rules at minconf 0.5
             if merging:
                 merge = dict(zip(symbols, (symbols[label] for label in pattern)))
                 pattern_query = minimize(
                     unchecked_query(query.head, substitute_terms(query.body, merge))
                 )
-            base, origin = None, ()
+            base = None
             texts: list[str] = []
             counts: list[int] = []
-            renamings: list[dict[Constant, Constant]] = []
+            member_values: list[tuple[str, ...]] = []
             free_symbols = [symbols[i] for i in free]
             for assignment, count, text in members:
-                values = tuple(assignment[i] for i in free)
+                values = tuple(assignment[i] for i in free) if merging else assignment
                 if merging:
                     text = canonical_text(
                         pattern_query, dict(zip(free_symbols, map(Constant, values)))
@@ -303,14 +308,11 @@ def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Gr
                         forms,
                         state.atoms,
                     )
-                    origin = values
                 texts.append(text)
                 counts.append(count)
-                renamings.append(
-                    {Constant(a): Constant(b) for a, b in zip(origin, values) if a != b}
-                )
+                member_values.append(values)
             if base is not None:
-                groups.append(_Group(base, texts, counts, renamings))
+                groups.append(_Group(base, texts, counts, member_values))
     return groups
 
 
@@ -398,14 +400,10 @@ def _rules_for_group(
     forms: dict[tuple, _Form],
     rules: _Rules,
 ) -> None:
-    texts, counts, renamings = group.texts, group.counts, group.renamings
-    # each member's value of each of the representative's constants, looked
-    # up by ``decide`` for its key into a grouped count
-    base_constants = group.base.form.constants()
-    value_of = [
-        {c: renaming.get(c, c)[1] for c in base_constants}.__getitem__
-        for renaming in renamings
-    ]
+    texts, counts, values = group.texts, group.counts, group.values
+    # the position of each of the representative's constants in the members'
+    # value tuples: a group's free values are pairwise distinct
+    position = {value: i for i, value in enumerate(values[0])}
     base_text = texts[0]
     consequents = [text + "." for text in texts]
     dot, add = rules.dot, rules.add
@@ -431,6 +429,7 @@ def _rules_for_group(
         texts."""
         if constants and undecided != 1:
             # members other than the representative see other constants
+            positions = [position[c.value] for c in constants]
             reopen = {c: SymbolicConstant(i) for i, c in enumerate(constants, 1)}
             reopened = unchecked_query(
                 antecedent.head, substitute_terms(antecedent.body, reopen)
@@ -455,7 +454,7 @@ def _rules_for_group(
             bits ^= low
             member = low.bit_length() - 1
             if by_values is not None:
-                key = tuple(map(value_of[member], constants))
+                key = tuple(map(values[member].__getitem__, positions))
                 antecedent_support = by_values[key]
             if numerator * antecedent_support > cuts[member]:
                 continue
@@ -464,9 +463,8 @@ def _rules_for_group(
                 # the member's own instantiation, rendered once per run
                 text = rendered.get(key)
                 if text is None:
-                    text = rendered[key] = dot(
-                        canonical_text(antecedent, renamings[member])
-                    )
+                    substitution = dict(zip(constants, map(Constant, key)))
+                    text = rendered[key] = dot(canonical_text(antecedent, substitution))
             else:
                 text = dot(antecedent_text)
             add(text, consequents[member], counts[member], antecedent_support)

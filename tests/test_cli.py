@@ -261,25 +261,31 @@ PINNED_HUNDRED_ROW_REPORTS = (
 )
 
 
-@pytest.mark.slow
-def test_hundred_row_report_bytes_are_pinned(tmp_path):
-    bench_generator().generate(
-        tmp_path / "data", seed=1, rows=100, drinkers=40, bars=16, beers=20
-    )
+def synthetic_report_digests(tmp_path, minsup, **generator):
+    """sha256 of the three reports of a two-atom run at ``minsup`` and
+    minconf 0.5 over ``perfbench/gen.py``'s data at seed 1."""
+    bench_generator().generate(tmp_path / "data", seed=1, **generator)
     result = subprocess.run(
         [
             sys.executable, "-m", "cqmine", "mine", "--schema", "data/schema.txt",
             "--data", "data", "--out-dir", "out", "--max-atoms", "2",
-            "--minsup", "3", "--minconf", "0.5",
+            "--minsup", str(minsup), "--minconf", "0.5",
         ],
         capture_output=True,
         cwd=tmp_path,
         env=ENV,
     )
     assert result.returncode == 0, result.stderr
-    digests = tuple(
+    return tuple(
         hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
         for name in ("frequent.txt", "rules.txt", "run.json")
+    )
+
+
+@pytest.mark.slow
+def test_hundred_row_report_bytes_are_pinned(tmp_path):
+    digests = synthetic_report_digests(
+        tmp_path, 3, rows=100, drinkers=40, bars=16, beers=20
     )
     assert digests == PINNED_HUNDRED_ROW_REPORTS
 
@@ -297,23 +303,8 @@ PINNED_THOUSAND_ROW_REPORTS = (
 
 @pytest.mark.slow
 def test_thousand_row_report_bytes_are_pinned(tmp_path):
-    bench_generator().generate(
-        tmp_path / "data", seed=1, rows=1000, drinkers=200, bars=60, beers=80
-    )
-    result = subprocess.run(
-        [
-            sys.executable, "-m", "cqmine", "mine", "--schema", "data/schema.txt",
-            "--data", "data", "--out-dir", "out", "--max-atoms", "2",
-            "--minsup", "20", "--minconf", "0.5",
-        ],
-        capture_output=True,
-        cwd=tmp_path,
-        env=ENV,
-    )
-    assert result.returncode == 0, result.stderr
-    digests = tuple(
-        hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-        for name in ("frequent.txt", "rules.txt", "run.json")
+    digests = synthetic_report_digests(
+        tmp_path, 20, rows=1000, drinkers=200, bars=60, beers=80
     )
     assert digests == PINNED_THOUSAND_ROW_REPORTS
 
@@ -550,6 +541,29 @@ def test_bad_input_or_out_dir_exit_3_without_traceback(case, tmp_path):
     assert result.stderr.startswith("error: ")
     assert result.stderr.count("\n") == 1
     assert message in result.stderr
+
+
+def test_failed_rewrite_keeps_the_previous_reports(monkeypatch, tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = [
+        "mine", "--schema", SCHEMA, "--data", str(BEER), "--minsup", "2",
+        "--minconf", "0.5", "--out-dir", str(out),
+    ]
+    assert main(argv) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert sorted(before) == ["frequent.txt", "rules.txt", "run.json"]
+    write_rules = reports.write_rules
+
+    def failing(rules, text, run_json):
+        rules = list(rules)
+        write_rules(rules[: len(rules) // 2], text, run_json)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(reports, "write_rules", failing)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("error: cannot write reports to ")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 def test_closed_pipe_exits_141_without_traceback():

@@ -610,6 +610,30 @@ def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch)
     assert len(bases) + len(members) < sum(len(record.texts) for record in records)
 
 
+def test_group_members_are_value_tuples(maxtwo_state):
+    groups = cqmine.phase2._consequent_groups(maxtwo_state, {})
+    # the grouped-count key of each instance of a pattern that merges no
+    # placeholders, by the instance's text; of the assignments that give one
+    # text (a symmetric body's swapped values) the first is the member
+    keys = {}
+    for record in maxtwo_state.frequent_records():
+        grouped = record.frequent_constants
+        for (values, _), text in zip(grouped.sorted_items(), record.texts):
+            if len(set(values)) == len(values):
+                keys.setdefault(text, values)
+    kept = 0
+    for group in groups:
+        assert group._fields == ("base", "texts", "counts", "values")
+        assert len(group.values) == len(group.texts)
+        assert all(type(values) is tuple for values in group.values)
+        for text, values in zip(group.texts, group.values):
+            if text in keys:
+                # the record's own key object, not a copy
+                assert values is keys[text]
+                kept += 1
+    assert kept == len(keys)
+
+
 # ---------------------------------------------------------------------------
 # per-run memos
 # ---------------------------------------------------------------------------

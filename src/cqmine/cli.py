@@ -102,10 +102,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     instance = load_instance(schema, args.data)
     state = run_phase1(instance, miner)
-    # phase 2 and the reports read neither phase 1's class memo nor its
-    # generalization keys
+    # phase 2 and the reports read neither phase 1's class memo nor the keys
+    # its deferred candidates wait on
     state.classes.clear()
-    state.parents.clear()
+    state.waiting.clear()
     rules = run_phase2(state, instance, rule_config)
 
     if args.out_dir:

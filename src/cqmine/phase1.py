@@ -150,8 +150,9 @@ class MinerState:
 
     ``classes`` maps the ``queries.shape`` of every raw query ``class_of``
     has keyed to its ``(key, representative)`` pair, so a renaming of a
-    query already keyed costs one shape and one lookup.  ``parents`` holds
-    the generalization keys of each class ``admission`` walked in full.
+    query already keyed costs one shape and one lookup.  ``waiting`` maps
+    each class ``admission`` deferred to the one generalization key it waits
+    on: the first its walk found not yet classified.
     Phase 2 keeps its own memo of walk forms, keyed by shape too, for one
     ``run_phase2`` call; one-off renderings, such as each record's
     ``texts``, go through the plain functions.
@@ -168,7 +169,7 @@ class MinerState:
         "levels",
         "frequent_index",
         "infrequent_index",
-        "parents",
+        "waiting",
         "classes",
         "atoms",
     )
@@ -179,7 +180,7 @@ class MinerState:
         self.levels: list[Level] = []
         self.frequent_index: dict[str, QueryRecord] = {}
         self.infrequent_index: set[str] = set()
-        self.parents: dict[str, list[str]] = {}
+        self.waiting: dict[str, str] = {}
         self.classes: dict[tuple, tuple[str, ConjunctiveQuery]] = {}
         self.atoms: dict[Atom, Atom] = {}
 
@@ -431,26 +432,30 @@ def admission(key: str, representative: ConjunctiveQuery, state: MinerState) -> 
     one of its generalizations is infrequent; support never grows under
     specialization, so in the second case the class is recorded infrequent.
     ``DEFER``: some generalization is not classified yet, so the candidate
-    waits for a later iteration.  The generalizations are walked lazily and
-    the walk stops at the first infrequent one; ``state.parents`` memoizes
-    each fully walked class's generalization keys across calls.
+    waits for a later iteration.
+
+    The generalizations are walked lazily and the walk stops at the first
+    one not known frequent, which settles the verdict.  A deferred class
+    keeps only that key, in ``state.waiting``: while it stays unclassified
+    the class waits without a walk, once it is infrequent the class is
+    pruned, and once it is frequent the walk starts over.  No walk is kept
+    suspended between calls.  The frequent set does not change while a
+    level is admitted, so each level admits the classes a full walk would.
     """
-    if key in state.frequent_index or key in state.infrequent_index:
+    frequent, infrequent = state.frequent_index, state.infrequent_index
+    if key in frequent or key in infrequent:
         return PRUNE
-    parent_keys = state.parents.get(key)
-    if parent_keys is None:
-        parent_keys = []
+    parent = state.waiting.pop(key, None)
+    if parent is None or parent in frequent:
         for parent, _ in immediate_generalizations(representative, state):
-            parent_keys.append(parent)
-            if parent in state.infrequent_index:
+            if parent not in frequent:
                 break
         else:
-            state.parents[key] = parent_keys
-    if any(parent in state.infrequent_index for parent in parent_keys):
-        state.infrequent_index.add(key)
+            return ADMIT
+    if parent in infrequent:
+        infrequent.add(key)
         return PRUNE
-    if all(parent in state.frequent_index for parent in parent_keys):
-        return ADMIT
+    state.waiting[key] = parent
     return DEFER
 
 

@@ -23,6 +23,9 @@ from cqmine.errors import DataError
 from cqmine.evaluation import support
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
+    ADMIT,
+    DEFER,
+    PRUNE,
     MinerState,
     class_of,
     immediate_generalizations,
@@ -506,6 +509,41 @@ def generalization_classes(
     for key, parent in immediate_generalizations(class_of(query, state)[1], state):
         found.setdefault(key, parent)
     return {key: found[key] for key in sorted(found)}
+
+
+def eager_admission() -> Callable[[str, ConjunctiveQuery, MinerState], str]:
+    """A reference for ``phase1.admission``: the rule that walks further.
+
+    It takes the same arguments and gives the same verdicts, except that its
+    walk passes unclassified generalizations and stops only at the first
+    infrequent one.  A walk that finds none keeps every generalization key
+    in a memo of its own, and a deferred candidate is decided again from
+    that whole list.  Patch the returned function over ``phase1.admission``
+    to run phase 1 with it; each call returns a fresh memo.
+    """
+    parents: dict[str, list[str]] = {}
+
+    def admission(key: str, representative: ConjunctiveQuery, state: MinerState) -> str:
+        frequent, infrequent = state.frequent_index, state.infrequent_index
+        if key in frequent or key in infrequent:
+            return PRUNE
+        parent_keys = parents.get(key)
+        if parent_keys is None:
+            parent_keys = []
+            for parent, _ in immediate_generalizations(representative, state):
+                parent_keys.append(parent)
+                if parent in infrequent:
+                    break
+            else:
+                parents[key] = parent_keys
+        if any(parent in infrequent for parent in parent_keys):
+            infrequent.add(key)
+            return PRUNE
+        if all(parent in frequent for parent in parent_keys):
+            return ADMIT
+        return DEFER
+
+    return admission
 
 
 def candidate_keys(state: MinerState) -> set[str]:

@@ -395,11 +395,11 @@ def test_mine_frees_phase_one_memos_before_phase_two(monkeypatch, tmp_path):
 
     def phase1(instance, config):
         state = run_phase1(instance, config)
-        seen.append((len(state.classes), len(state.parents)))
+        seen.append((len(state.classes), len(state.waiting)))
         return state
 
     def phase2(state, instance, config):
-        seen.append((len(state.classes), len(state.parents)))
+        seen.append((len(state.classes), len(state.waiting)))
         return run_phase2(state, instance, config)
 
     monkeypatch.setattr(cli, "run_phase1", phase1)
@@ -408,8 +408,8 @@ def test_mine_frees_phase_one_memos_before_phase_two(monkeypatch, tmp_path):
         "mine", "--schema", SCHEMA, "--data", str(BEER), "--minsup", "2",
         "--out-dir", str(tmp_path / "run"),
     ]) == 0
-    (classes, parents), at_phase2 = seen
-    assert classes > 0 and parents > 0
+    (classes, waiting), at_phase2 = seen
+    assert classes > 0 and waiting > 0
     assert at_phase2 == (0, 0)
 
 

@@ -694,12 +694,12 @@ def test_each_run_owns_its_memos(beer_instance, monkeypatch):
     mine(MinerConfig(minsup=3, max_atoms=2, enable_constants=False))
     second, second_report, second_calls = mine(config)
     assert second_report == first_report
-    assert second.parents is not first.parents
+    assert second.waiting is not first.waiting
     # the runs in between left nothing behind: the second run starts from
     # empty memos and does exactly the first run's work
     assert second_calls == first_calls
     assert min(first_calls.values()) > 0
-    assert second.parents == first.parents
+    assert second.waiting == first.waiting
     # and from an empty atom table, sharing no atom with the first run
     assert second.atoms == first.atoms
     first_atoms = {id(atom) for atom in first.atoms.values()}

@@ -98,13 +98,6 @@ def evaluate(query: ConjunctiveQuery, instance: Instance) -> frozenset[tuple[str
     return frozenset(_fetch(instance, emit_sql(query, instance.schema, params), params))
 
 
-def support(query: ConjunctiveQuery, instance: Instance) -> int:
-    """Number of distinct answer tuples of a query without placeholders:
-    the grouped count of its one assignment ``()``."""
-    _require_plain(query)
-    return support_grouped(query, instance).counts.get((), 0)
-
-
 class GroupedSupport:
     """Per-assignment supports of a query.
 

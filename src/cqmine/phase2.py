@@ -40,14 +40,14 @@ kept (phase 1 keys its classes by the same function), to the form's
 canonical rendering, its minimized class, the class's constants and, once
 a walk expands the form, its generalization steps.  So a renaming is
 rendered and minimized once, and a form is expanded once per run however
-many walks reach it.  One support table per call maps a minimized query's
-canonical text, head order kept, to its support.  It starts with every
-consequent's count from phase 1, and an antecedent it lacks is counted once
-and added.  An antecedent that keeps constants has a support per member.
-For the representative alone it comes from the support table; otherwise
-one grouped count of the antecedent with its constants re-opened as
-placeholders, made once per run for each re-opened query and without a
-minimum support, serves every member of every group that reaches it.
+many walks reach it.  Every antecedent support comes from one table of
+grouped counts per call, keyed by query.  An antecedent that keeps constants
+is looked up with its constants re-opened as placeholders, and one without
+by its own class form, whose one assignment is ``()``; a member's support
+is the count at its values of the constants.  A query the table lacks is
+counted once, without a minimum support, and serves every member of every
+group that reaches it.  The table starts with the phase-1 count of each
+consequent without constants, so no such consequent is counted again.
 Rule sides are always the instantiated queries' own canonical texts, made
 by ``canonical_text`` or read from the records, whose ``instance_texts``
 puts values into one rendering only where no relation repeats: elsewhere
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 from .containment import minimize
 from .errors import ConfigError
-from .evaluation import support, support_grouped
+from .evaluation import support_grouped
 from .generalization import atom_removals, splits
 from .phase1 import MinerState
 from .queries import (
@@ -384,9 +384,9 @@ class _Rules:
         return rules
 
 
-# a grouped count of an antecedent with its constants re-opened: the support
-# per tuple of values, and the printed texts of the instantiations rendered
-# so far, by the same tuples
+# a grouped count of an antecedent, any constants re-opened as placeholders:
+# the support per tuple of values (``()`` for none), and the printed texts of
+# the instantiations rendered so far, by the same tuples
 _Counted = tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], str]]
 
 
@@ -395,7 +395,6 @@ def _rules_for_group(
     state: MinerState,
     instance: Instance,
     config: RuleConfig,
-    supports: dict[str, int],
     grouped: dict[ConjunctiveQuery, _Counted],
     forms: dict[tuple, _Form],
     rules: _Rules,
@@ -423,39 +422,32 @@ def _rules_for_group(
     ) -> int:
         """The members in ``undecided`` whose rule from ``antecedent`` is
         confident.  Their rules are emitted here, the only time each member
-        meets this antecedent class.  A member's own instantiation of an
-        antecedent with constants is rendered by ``canonical_text`` and kept
-        in the grouped count's ``rendered`` dict, the per-run cache of those
-        texts."""
-        if constants and undecided != 1:
-            # members other than the representative see other constants
-            positions = [position[c.value] for c in constants]
+        meets this antecedent class.  Every support is read from
+        ``grouped``, at the member's values of the antecedent's constants.
+        A member's own instantiation of an antecedent with constants is
+        rendered by ``canonical_text`` and kept in the entry's ``rendered``
+        dict, the per-run cache of those texts."""
+        # members other than the representative see other constants, so the
+        # count is looked up with them re-opened as placeholders
+        positions = [position[c.value] for c in constants]
+        lookup = antecedent
+        if constants:
             reopen = {c: SymbolicConstant(i) for i, c in enumerate(constants, 1)}
-            reopened = unchecked_query(
+            lookup = unchecked_query(
                 antecedent.head, substitute_terms(antecedent.body, reopen)
             )
-            entry = grouped.get(reopened)
-            if entry is None:
-                entry = (support_grouped(reopened, instance).counts, {})
-                grouped[reopened] = entry
-            by_values, rendered = entry
-        else:
-            # one support serves every member: no constants, or the
-            # representative alone
-            by_values = None
-            antecedent_support = supports.get(antecedent_text)
-            if antecedent_support is None:
-                antecedent_support = support(antecedent, instance)
-                supports[antecedent_text] = antecedent_support
+        entry = grouped.get(lookup)
+        if entry is None:
+            entry = grouped[lookup] = (support_grouped(lookup, instance).counts, {})
+        by_values, rendered = entry
         confident = 0
         bits = undecided
         while bits:
             low = bits & -bits
             bits ^= low
             member = low.bit_length() - 1
-            if by_values is not None:
-                key = tuple(map(values[member].__getitem__, positions))
-                antecedent_support = by_values[key]
+            key = tuple(map(values[member].__getitem__, positions))
+            antecedent_support = by_values[key]
             if numerator * antecedent_support > cuts[member]:
                 continue
             confident |= low
@@ -517,21 +509,22 @@ def run_phase2(
     Each frequent query (with placeholders instantiated) is taken in turn as
     a consequent, and its antecedents are explored from most to least
     confident, one walk per group of consequents that differ only by their
-    constants.  The walks share one support table, seeded with the
-    consequents' supports, one table of grouped counts, one form memo and
-    the rules' shared parts.  The result is sorted by descending confidence,
-    then antecedent and consequent text (with the trailing period, as
-    printed).
+    constants.  The walks share one table of grouped counts, seeded with
+    the phase-1 count of each consequent without constants, one form memo
+    and the rules' shared parts.  The result is sorted by descending
+    confidence, then antecedent and consequent text (with the trailing
+    period, as printed).
     """
     forms: dict[tuple, _Form] = {}
     groups = _consequent_groups(state, forms)
-    supports = {
-        text: count
+    # phase 1 counted every consequent; one without constants is its group's
+    # one member, looked up as an antecedent by its class form
+    grouped: dict[ConjunctiveQuery, _Counted] = {
+        group.base.class_form: ({(): group.counts[0]}, {})
         for group in groups
-        for text, count in zip(group.texts, group.counts)
+        if not group.base.constants
     }
-    grouped: dict[ConjunctiveQuery, _Counted] = {}
     rules = _Rules()
     for group in groups:
-        _rules_for_group(group, state, instance, config, supports, grouped, forms, rules)
+        _rules_for_group(group, state, instance, config, grouped, forms, rules)
     return rules.ordered()

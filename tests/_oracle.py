@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Mapping
 
 from cqmine.containment import minimize
-from cqmine.errors import DataError
-from cqmine.evaluation import support
+from cqmine.errors import DataError, QueryError
+from cqmine.evaluation import support_grouped
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
     ADMIT,
@@ -489,6 +489,14 @@ def reference_rules(
 # ---------------------------------------------------------------------------
 # helpers that only tests use
 # ---------------------------------------------------------------------------
+
+
+def support(query: ConjunctiveQuery, instance: Instance) -> int:
+    """Number of distinct answer tuples of a query without placeholders:
+    the grouped count of its one assignment ``()``."""
+    if query.symbolic_constants():
+        raise QueryError("query contains symbolic constants; use support_grouped")
+    return support_grouped(query, instance).counts.get((), 0)
 
 
 def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> ConjunctiveQuery:

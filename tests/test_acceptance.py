@@ -28,13 +28,14 @@ import pytest
 import _oracle
 import conftest
 import cqmine
+from _oracle import support
 from cqmine.containment import (
     is_contained,
     is_diagonally_contained,
     is_equivalent,
     minimize,
 )
-from cqmine.evaluation import evaluate, support
+from cqmine.evaluation import evaluate
 from cqmine.phase1 import (
     MinerConfig,
     MinerState,

@@ -5,12 +5,13 @@ import random
 import pytest
 
 from cqmine.errors import QueryError
-from cqmine.evaluation import evaluate, support, support_grouped
+from cqmine.evaluation import evaluate, support_grouped
 from cqmine.queries import instantiate, parse_query
 from cqmine.relational import Instance
 from cqmine.sqlgen import emit_sql
 
 import _oracle
+from _oracle import support
 
 Q = parse_query
 

@@ -7,7 +7,7 @@ import pytest
 
 from cqmine.containment import is_diagonally_contained, is_equivalent
 from cqmine.errors import ConfigError
-from cqmine.evaluation import support, support_grouped
+from cqmine.evaluation import support_grouped
 from cqmine import phase1
 from cqmine.phase1 import (
     ADMIT,
@@ -31,6 +31,7 @@ from _oracle import (
     eager_admission,
     generalization_classes,
     render_query,
+    support,
 )
 
 

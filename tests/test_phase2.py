@@ -14,10 +14,10 @@ import cqmine.containment
 import cqmine.phase1
 import cqmine.phase2
 import cqmine.queries
-from _oracle import reference_rules, render_query, rule_queries
+from _oracle import reference_rules, render_query, rule_queries, support
 from cqmine.containment import is_contained, minimize
 from cqmine.errors import ConfigError
-from cqmine.evaluation import support, support_grouped
+from cqmine.evaluation import support_grouped
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
     Level,
@@ -370,38 +370,29 @@ def test_each_form_is_expanded_once_per_run(
 def test_supports_held_from_phase_one_are_not_counted_again(
     maxtwo_state, beer_instance, rules_half, monkeypatch
 ):
-    # every consequent's support is known from phase 1, and an antecedent
-    # is counted at most once per run, however many walks reach it
-    consequents = set()
-    for record in maxtwo_state.frequent_records():
-        grouped = record.frequent_constants
-        for assignment in grouped.counts:
-            mapping = dict(zip(grouped.symbols, assignment))
-            consequents.add(ordered_key(instantiate(record.query, mapping)))
+    # every support comes from one table of grouped counts: a constant-free
+    # consequent's count is phase 1's, and an antecedent is counted at most
+    # once per run, however many walks reach it, with any constants it keeps
+    # re-opened as placeholders
+    consequents = {
+        ordered_key(record.query)
+        for record in maxtwo_state.frequent_records()
+        if not record.query.symbolic_constants()
+    }
     counted = []
 
-    def recording_support(query, instance):
-        counted.append(ordered_key(query))
-        return support(query, instance)
-
-    # an antecedent that keeps constants is counted grouped, with its
-    # constants re-opened as placeholders, and each such count is made once
-    grouped_counts = []
-
     def recording_support_grouped(query, instance, minsup=1):
-        grouped_counts.append(query)
+        counted.append(query)
         return support_grouped(query, instance, minsup)
 
-    monkeypatch.setattr(cqmine.phase2, "support", recording_support)
     monkeypatch.setattr(cqmine.phase2, "support_grouped", recording_support_grouped)
     rules = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1, 2)))
     assert rules == rules_half
-    assert counted
-    assert not consequents & set(counted)
     assert len(counted) == len(set(counted))
-    assert grouped_counts
-    assert all(query.symbolic_constants() for query in grouped_counts)
-    assert len(grouped_counts) == len(set(grouped_counts))
+    assert not any(query.constants() for query in counted)
+    assert not consequents & {ordered_key(query) for query in counted}
+    # the count calls of beer at two atoms, minsup 2 and minconf 1/2
+    assert len(counted) == 234
 
 
 def test_no_rules_without_frequent_queries(beer_instance):

@@ -32,10 +32,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _oracle
+from _oracle import support
 from cqmine import containment, generalization, phase1, phase2
 from cqmine import queries as queries_module
 from cqmine.containment import is_diagonally_contained, is_equivalent, minimize
-from cqmine.evaluation import GroupedSupport, support, support_grouped
+from cqmine.evaluation import GroupedSupport, support_grouped
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
     MinerConfig,

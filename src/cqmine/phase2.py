@@ -45,9 +45,15 @@ grouped counts per call, keyed by query.  An antecedent that keeps constants
 is looked up with its constants re-opened as placeholders, and one without
 by its own class form, whose one assignment is ``()``; a member's support
 is the count at its values of the constants.  A query the table lacks is
-counted once, without a minimum support, and serves every member of every
-group that reaches it.  The table starts with the phase-1 count of each
-consequent without constants, so no such consequent is counted again.
+counted once, at the run's minimum support, and serves every member of
+every group that reaches it.  That threshold loses nothing: an antecedent
+generalizes the member's consequent, so its support is at least the
+member's count, which is at least the minimum support.  The counts stay
+factored, one dict per connected component, taken from the instance's
+table of component counts, where phase 1 left nearly all of them, and a
+member's support multiplies its factors' counts at its values
+(``GroupedSupport.count``).  The table starts with the phase-1 count of
+each consequent without constants, so no such consequent is counted again.
 Rule sides are always the instantiated queries' own canonical texts, made
 by ``canonical_text`` or read from the records, whose ``instance_texts``
 puts values into one rendering only where no relation repeats: elsewhere
@@ -69,7 +75,7 @@ from typing import NamedTuple
 
 from .containment import minimize
 from .errors import ConfigError
-from .evaluation import support_grouped
+from .evaluation import GroupedSupport, support_grouped
 from .generalization import atom_removals, splits
 from .phase1 import MinerState
 from .queries import (
@@ -384,10 +390,10 @@ class _Rules:
         return rules
 
 
-# a grouped count of an antecedent, any constants re-opened as placeholders:
-# the support per tuple of values (``()`` for none), and the printed texts of
-# the instantiations rendered so far, by the same tuples
-_Counted = tuple[dict[tuple[str, ...], int], dict[tuple[str, ...], str]]
+# a grouped count of an antecedent, any constants re-opened as placeholders,
+# read by tuples of values (``()`` for none), and the printed texts of the
+# instantiations rendered so far, by the same tuples
+_Counted = tuple[GroupedSupport, dict[tuple[str, ...], str]]
 
 
 def _rules_for_group(
@@ -413,6 +419,7 @@ def _rules_for_group(
     # ``minconf`` exactly when ``numerator * antecedent_support <= cuts[i]``
     numerator = config.minconf.numerator
     cuts = [count * config.minconf.denominator for count in counts]
+    minsup = state.config.minsup
 
     def decide(
         antecedent_text: str,
@@ -438,8 +445,9 @@ def _rules_for_group(
             )
         entry = grouped.get(lookup)
         if entry is None:
-            entry = grouped[lookup] = (support_grouped(lookup, instance).counts, {})
-        by_values, rendered = entry
+            entry = grouped[lookup] = (support_grouped(lookup, instance, minsup), {})
+        support, rendered = entry
+        support_at = support.count
         confident = 0
         bits = undecided
         while bits:
@@ -447,7 +455,7 @@ def _rules_for_group(
             bits ^= low
             member = low.bit_length() - 1
             key = tuple(map(values[member].__getitem__, positions))
-            antecedent_support = by_values[key]
+            antecedent_support = support_at(key)
             if numerator * antecedent_support > cuts[member]:
                 continue
             confident |= low
@@ -520,7 +528,7 @@ def run_phase2(
     # phase 1 counted every consequent; one without constants is its group's
     # one member, looked up as an antecedent by its class form
     grouped: dict[ConjunctiveQuery, _Counted] = {
-        group.base.class_form: ({(): group.counts[0]}, {})
+        group.base.class_form: (GroupedSupport((), {(): group.counts[0]}), {})
         for group in groups
         if not group.base.constants
     }

@@ -472,7 +472,9 @@ def canonical_form(
     return text, unchecked_query(head, frozenset(body))
 
 
-def shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
+def shape(
+    query: ConjunctiveQuery, head_ordered: bool, numbers: dict[Term, int] | None = None
+) -> tuple:
     """A rendering of ``query`` that renaming its variables and placeholders
     leaves unchanged, and so does reordering its head unless ``head_ordered``.
 
@@ -486,7 +488,12 @@ def shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
     Equal shapes mean the two queries are renamings of each other, with
     equal canonical forms (over all head orders unless ``head_ordered``);
     renamings whose ties broke differently only get different shapes.  Both
-    phases key their memos by it: phase 1's classes, phase 2's walk forms.
+    phases key their memos by it: phase 1's classes, phase 2's walk forms;
+    so does the evaluator's table of component counts.  An empty dict
+    passed as ``numbers`` receives each variable's and placeholder's
+    number: a renaming between queries of equal shapes maps each term to
+    the term of the same number.  ``query`` may be any ``(head, body)``
+    pair.
     """
     head, body = query
     if head_ordered:
@@ -503,7 +510,8 @@ def shape(query: ConjunctiveQuery, head_ordered: bool) -> tuple:
         ]
         decorated.append((atom[0], signature, args))
     decorated.sort()
-    numbers: dict[Term, int] = {}
+    if numbers is None:
+        numbers = {}
     flat: list = []
     for relation, _, args in decorated:
         flat.append(relation)

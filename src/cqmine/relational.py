@@ -70,6 +70,12 @@ class Instance:
     Rows are tuples of strings; duplicates are collapsed by construction.
     The class has no ``__slots__``: ``database`` is a ``cached_property``,
     which keeps the connection in the instance's ``__dict__``.
+
+    ``component_counts`` is the evaluator's table of component counts: each
+    connected component of a query body counted on this instance, keyed so
+    that renaming leaves the key unchanged, maps to its counts by its
+    placeholders' values (see ``cqmine.evaluation``).  It lives as long as
+    the instance.
     """
 
     def __init__(
@@ -86,6 +92,7 @@ class Instance:
                         f"{len(row)}, expected {decl.arity}"
                     )
             self.tables[decl.name] = rows
+        self.component_counts: dict[tuple, dict[tuple[str, ...], int]] = {}
 
     @functools.cached_property
     def database(self) -> sqlite3.Connection:

@@ -257,32 +257,65 @@ def test_empty_relation_component_gives_support_zero():
         assert not support_grouped(Q(text), inst)
 
 
+def traced_copy(instance: Instance, statements: list[str]) -> Instance:
+    """A fresh instance of ``instance``'s schema and tables, so with an empty
+    table of component counts, that appends each statement it runs to
+    ``statements``."""
+    fresh = Instance(instance.schema, instance.tables)
+    fresh.database.set_trace_callback(statements.append)
+    return fresh
+
+
 def test_zero_factor_ends_the_count(beer_instance):
     statements: list[str] = []
-    beer_instance.database.set_trace_callback(statements.append)
-    try:
-        # components are counted in atom order: likes before serves and visits
-        support(
-            Q("Q(x, z) :- likes(x, 'Nothing'), serves(z, y), visits(w, y)"),
-            beer_instance,
-        )
-        support_grouped(Q("Q(x) :- likes(x, 'Nothing'), visits(w, $c1)"), beer_instance)
-    finally:
-        beer_instance.database.set_trace_callback(None)
+    # components are counted in atom order: likes before serves and visits
+    support(
+        Q("Q(x, z) :- likes(x, 'Nothing'), serves(z, y), visits(w, y)"),
+        traced_copy(beer_instance, statements),
+    )
+    support_grouped(
+        Q("Q(x) :- likes(x, 'Nothing'), visits(w, $c1)"),
+        traced_copy(beer_instance, statements),
+    )
     assert len(statements) == 2
     assert not any('"visits"' in sql or '"serves"' in sql for sql in statements)
+
+
+def test_renamed_components_share_one_entry(beer_instance):
+    # the table keys a component by its shape and its placeholders' shape
+    # numbers in index order: a renaming that keeps which placeholder comes
+    # first shares the entry, with the values of its placeholders aligned
+    statements: list[str] = []
+    instance = traced_copy(beer_instance, statements)
+    first = support_grouped(Q("Q(x) :- likes(x, $c2), visits(x, $c5)"), instance)
+    second = support_grouped(Q("Q(y) :- visits(y, $c3), likes(y, $c1)"), instance)
+    assert len(statements) == len(instance.component_counts) == 1
+    assert first.counts is second.counts
+    assert first.counts[("Duvel", "Cheers")] == 3
+    # shape numbers placeholders by first occurrence, not by index, so a
+    # renaming that permutes the indices is another entry, aligned again
+    third = support_grouped(Q("Q(x) :- likes(x, $c2), visits(x, $c1)"), instance)
+    fourth = support_grouped(Q("Q(y) :- likes(y, $c1), visits(y, $c2)"), instance)
+    assert len(statements) == len(instance.component_counts) == 2
+    assert fourth.counts is first.counts
+    assert third.counts == {
+        (bar, beer): count for (beer, bar), count in fourth.counts.items()
+    }
+    assert third.counts[("Cheers", "Duvel")] == 3
+    for grouped, text in [
+        (third, "Q(x) :- likes(x, $c2), visits(x, $c1)"),
+        (fourth, "Q(y) :- likes(y, $c1), visits(y, $c2)"),
+    ]:
+        expected = _oracle.naive_grouped_counts(Q(text), instance.tables, 1)
+        assert grouped.counts == expected
 
 
 def test_connected_body_runs_the_whole_query(beer_schema, beer_instance):
     plain = Q("Q(x) :- likes(x, y), visits(x, z), serves(z, 'Duvel')")
     grouped = Q("Q(x) :- likes(x, $c1), visits(x, 'Cheers')")
     statements: list[str] = []
-    beer_instance.database.set_trace_callback(statements.append)
-    try:
-        support(plain, beer_instance)
-        support_grouped(grouped, beer_instance, minsup=2)
-    finally:
-        beer_instance.database.set_trace_callback(None)
+    support(plain, traced_copy(beer_instance, statements))
+    support_grouped(grouped, traced_copy(beer_instance, statements), minsup=2)
     # the trace shows statements with their parameters bound
     assert statements == [
         f"SELECT COUNT(*) FROM ({emit_sql(plain, beer_schema)})",

@@ -395,6 +395,21 @@ def test_supports_held_from_phase_one_are_not_counted_again(
     assert len(counted) == 234
 
 
+def test_each_component_runs_as_sql_once_per_instance(beer_instance, rules_half):
+    # a fresh instance starts with an empty table of component counts; phase
+    # 1 runs one statement per distinct component key, and phase 2 finds
+    # nearly every count it needs in the entries phase 1 made (the parent
+    # design ran 711 statements in phase 1 and 435 in phase 2)
+    instance = Instance(beer_instance.schema, beer_instance.tables)
+    statements: list[str] = []
+    instance.database.set_trace_callback(statements.append)
+    state = run_phase1(instance, MinerConfig(minsup=2, max_atoms=2))
+    assert len(statements) == len(instance.component_counts) == 147
+    rules = run_phase2(state, instance, RuleConfig(Fraction(1, 2)))
+    assert rules == rules_half
+    assert len(statements) == len(instance.component_counts) == 148
+
+
 def test_no_rules_without_frequent_queries(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=37, max_atoms=2))
     assert run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2))) == []

@@ -10,7 +10,10 @@ the class its own minimization and canonical form would give; phase 2
 memoizes its walk forms by that shape, head order kept, which is sound only
 if renamed copies get their own raw and minimized forms.  Every
 support is one grouped count, which for a query without placeholders must
-be its answer count at the one empty assignment.  The text-only renderers
+be its answer count at the one empty assignment; kept as per-component
+factors, shared between renamed components, it must give the supports
+that meet the minimum, enumerated or looked up, however the placeholders
+are numbered.  The text-only renderers
 must give the text of the instantiated query's canonical form.
 
 Phase 1 skips work it can prove redundant, and the lemmas behind each cut
@@ -23,6 +26,7 @@ constructor.
 """
 
 import contextlib
+import itertools
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -260,8 +264,9 @@ VALUES = [*_oracle.CONSTANT_POOL, "other"]
 
 
 @st.composite
-def instances(draw):
-    rows = st.frozensets(st.tuples(*[st.sampled_from(VALUES)] * 2), max_size=8)
+def instances(draw, min_rows=0):
+    pairs = st.tuples(*[st.sampled_from(VALUES)] * 2)
+    rows = st.frozensets(pairs, min_size=min_rows, max_size=8)
     return Instance(SCHEMA, {name: draw(rows) for name, _ in _oracle.RELATIONS})
 
 
@@ -285,6 +290,74 @@ def test_support_is_the_grouped_count_of_the_empty_assignment(query, instance, m
         assert support_grouped(counted, instance, minsup).counts == {
             values: n for values, n in every.items() if n >= minsup
         }
+
+
+@st.composite
+def disconnected_queries(draw):
+    """A body of two or three parts, each of one or two atoms over variables
+    and placeholders of its own, four atoms and three placeholders at most.
+    Placeholder indices are a drawn permutation, so index order and order
+    of first occurrence often differ; a part may have no head variable."""
+    body = set()
+    for part in range(draw(st.integers(2, 3))):
+        own = [Variable(f"p{part}v0"), Variable(f"p{part}v1")]
+        terms = st.sampled_from(
+            [*own, SymbolicConstant(2 * part + 1), SymbolicConstant(2 * part + 2)]
+            + [Constant(VALUES[0])]
+        )
+        for _ in range(draw(st.integers(1, 2))):
+            relation, _ = draw(st.sampled_from(_oracle.RELATIONS))
+            body.add(Atom(relation, (draw(terms), draw(terms))))
+    assume(len(body) <= 4)
+    symbols = sorted(
+        {t for atom in body for t in atom.args if isinstance(t, SymbolicConstant)},
+        key=lambda s: s.index,
+    )
+    assume(len(symbols) <= 3)
+    indices = draw(st.permutations(range(1, len(symbols) + 1)))
+    body = substitute_terms(body, dict(zip(symbols, map(SymbolicConstant, indices))))
+    body_vars = sorted(
+        {t for atom in body for t in atom.args if isinstance(t, Variable)},
+        key=lambda v: v.name,
+    )
+    assume(body_vars)
+    head = draw(st.lists(st.sampled_from(body_vars), min_size=1, unique=True))
+    return ConjunctiveQuery(tuple(head), body)
+
+
+@PROPERTY
+@given(disconnected_queries(), instances(min_rows=4))
+def test_factored_support_is_the_filtered_product(query, instance):
+    # the support at every assignment of nonzero support, by enumeration
+    every = _oracle.naive_grouped_counts(query, instance.tables, 1)
+    # a twin with the placeholder indices reversed, counted first, fills the
+    # table of component counts with renamed entries the query may share
+    symbols = sorted(query.symbolic_constants(), key=lambda s: s.index)
+    twin = ConjunctiveQuery(
+        query.head,
+        substitute_terms(query.body, dict(zip(symbols, reversed(symbols)))),
+    )
+    for minsup in (1, 2, 3, 5):
+        assert support_grouped(twin, instance, minsup).counts == {
+            values[::-1]: n for values, n in every.items() if n >= minsup
+        }
+        grouped = support_grouped(query, instance, minsup)
+        # the factors multiplied out over every combination of their counts
+        product = {}
+        for parts in itertools.product(*(c.items() for _, c in grouped.factors)):
+            values = [""] * len(grouped.symbols)
+            count = 1
+            for (positions, _), (part, factor) in zip(grouped.factors, parts):
+                for position, value in zip(positions, part):
+                    values[position] = value
+                count *= factor
+            if count >= minsup:
+                product[tuple(values)] = count
+        meeting = {values: n for values, n in every.items() if n >= minsup}
+        assert grouped.counts == product == meeting
+        # a member's lookup multiplies its factors' counts at its values
+        looked_up = support_grouped(query, instance, minsup)
+        assert {values: looked_up.count(values) for values in meeting} == meeting
 
 
 # values that quoting and joining must carry through unchanged

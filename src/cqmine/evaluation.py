@@ -150,10 +150,10 @@ class GroupedSupport:
     factor always holds every placeholder in index order, or holds no count.
 
     ``counts`` maps every assignment whose support meets ``minsup`` to that
-    support.  It is either given, or enumerated from the factors on first
-    use, and then ``factors`` is dropped (``None``): from then on the counts
-    answer ``count``.  The dicts are shared with the table of component
-    counts, and ``counts`` may be a factor's own, so none is ever changed.
+    support.  It is enumerated from the factors on first use, and then
+    ``factors`` is dropped (``None``): from then on the counts answer
+    ``count``.  The dicts are shared with the table of component counts,
+    and ``counts`` may be a factor's own, so none is ever changed.
     """
 
     __slots__ = ("symbols", "factors", "minsup", "_counts")
@@ -161,14 +161,13 @@ class GroupedSupport:
     def __init__(
         self,
         symbols: tuple[SymbolicConstant, ...],
-        counts: dict[tuple[str, ...], int] | None = None,
-        factors: tuple[Factor, ...] | None = None,
+        factors: tuple[Factor, ...],
         minsup: int = 1,
     ) -> None:
         self.symbols = symbols
-        self.factors = factors
+        self.factors: tuple[Factor, ...] | None = factors
         self.minsup = minsup
-        self._counts = counts
+        self._counts: dict[tuple[str, ...], int] | None = None
 
     @property
     def counts(self) -> dict[tuple[str, ...], int]:
@@ -274,4 +273,4 @@ def support_grouped(
         factors.append((tuple(map(position.__getitem__, component[1])), counts))
         if not counts:
             break
-    return GroupedSupport(symbols, factors=tuple(factors), minsup=minsup)
+    return GroupedSupport(symbols, tuple(factors), minsup)

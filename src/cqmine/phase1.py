@@ -103,7 +103,8 @@ class MinerConfig:
 
 
 class QueryRecord:
-    """A frequent discovery: the class representative and its measured support.
+    """A frequent discovery: its class ``key``, the class representative and
+    its measured support.
 
     ``frequent_constants`` lists every assignment of the query's symbolic
     constants meeting the threshold, and ``support`` is the best one's
@@ -111,30 +112,35 @@ class QueryRecord:
     assignment ``()``, with its support.
 
     ``texts`` holds the canonical text, head order kept, of the query
-    instantiated at each frequent assignment, in ``sorted_items`` order; a
-    discovery without symbolic constants holds its own text.  Each instance
-    is rendered here, once, by ``instance_texts``, and phase 2 and the
-    reports read the text.
+    instantiated at each frequent assignment, in ``sorted_items`` order.
+    Each instance is rendered here, once, by ``instance_texts``, and phase 2
+    and the reports read the text.  A discovery without symbolic constants
+    holds ``(key,)``: the representative is the minimized query renamed by
+    its least naming, so its own canonical text is the key.
     """
 
-    __slots__ = ("query", "support", "level", "frequent_constants", "texts")
+    __slots__ = ("key", "query", "support", "level", "frequent_constants", "texts")
 
     def __init__(
         self,
+        key: str,
         query: ConjunctiveQuery,
         support: int,
         level: int,
         frequent_constants: GroupedSupport,
     ) -> None:
+        self.key = key
         self.query = query
         self.support = support
         self.level = level
         self.frequent_constants = frequent_constants
-        self.texts = instance_texts(
-            query,
-            frequent_constants.symbols,
-            [values for values, _ in frequent_constants.sorted_items()],
-        )
+        self.texts = (key,)
+        if frequent_constants.symbols:
+            self.texts = instance_texts(
+                query,
+                frequent_constants.symbols,
+                [values for values, _ in frequent_constants.sorted_items()],
+            )
 
 
 class Level(NamedTuple):
@@ -496,6 +502,7 @@ def run_phase1(instance: Instance, config: MinerConfig) -> MinerState:
                 state.infrequent_index.add(key)
                 continue
             state.frequent_index[key] = QueryRecord(
+                key=key,
                 query=query,
                 support=grouped.best(),
                 level=level_number,

@@ -15,8 +15,8 @@ collapse two distinct atoms into one, undoing those steps may have to
 *duplicate* an atom, and the walk must pass through intermediate bodies that
 are equivalent to an earlier form (they carry a redundant atom whose sole
 purpose is to be generalized differently).  The walk therefore tracks raw
-bodies, deduplicated by their canonical rendering without minimization,
-while rules are reported per minimized equivalence class.
+bodies, one per entry of the form memo below, while rules are reported per
+minimized equivalence class.
 
 Support never shrinks under generalization, so confidence never grows along
 the walk; a branch whose confidence already fell below the threshold can be
@@ -36,13 +36,16 @@ again for those alone.  A discovery without placeholders is a group of one.
 
 Groups share most of the forms their walks pass through.  One form memo
 per ``run_phase2`` call maps a raw form's ``queries.shape``, head order
-kept (phase 1 keys its classes by the same function), to the form's
-canonical rendering, its minimized class, the class's constants and, once
-a walk expands the form, its generalization steps.  So a renaming is
-rendered and minimized once, and a form is expanded once per run however
-many walks reach it.  Every antecedent support comes from one table of
-grouped counts per call, keyed by query.  An antecedent that keeps constants
-is looked up with its constants re-opened as placeholders, and one without
+kept (phase 1 keys its classes by the same function), to the entry a walk
+keys the form by: the form renamed canonically, its minimized class, the
+class's constants and, once a walk expands the form, its generalization
+steps.  So a renaming is rendered and minimized once, and a form is
+expanded once per run however many walks reach it.  Two entries hold
+renamings of one form only where ``shape`` broke ties differently;
+verdicts are kept per antecedent class, so each member still meets each
+class once.  Every antecedent support comes from one table of grouped
+counts per call, keyed by query.  An antecedent that keeps constants is
+looked up with its constants re-opened as placeholders, and one without
 by its own class form, whose one assignment is ``()``; a member's support
 is the count at its values of the constants.  A query the table lacks is
 counted once, at the run's minimum support, and serves every member of
@@ -52,12 +55,11 @@ member's count, which is at least the minimum support.  The counts stay
 factored, one dict per connected component, taken from the instance's
 table of component counts, where phase 1 left nearly all of them, and a
 member's support multiplies its factors' counts at its values
-(``GroupedSupport.count``).  The table starts with the phase-1 count of
-each consequent without constants, so no such consequent is counted again.
-Rule sides are always the instantiated queries' own canonical texts, made
-by ``canonical_text`` or read from the records, whose ``instance_texts``
-puts values into one rendering only where no relation repeats: elsewhere
-instantiation can reorder the least rendering.
+(``GroupedSupport.count``).  Rule sides are always the instantiated
+queries' own canonical texts, made by ``canonical_text`` or read from the
+records, whose ``instance_texts`` puts values into one rendering only where
+no relation repeats: elsewhere instantiation can reorder the least
+rendering.
 
 Rules share their parts.  Each member's printed consequent is made once,
 each printed antecedent once per run, and each confidence is one
@@ -182,24 +184,22 @@ class AssociationRule:
 class _Form:
     """A raw form a walk passes through: the run's memo entry for its shape.
 
-    ``text`` and ``form`` are the raw query's canonical text and renamed
-    query, not minimized; ``class_text`` and ``class_form`` are those of its
+    ``form`` is the raw query renamed canonically, not minimized;
+    ``class_text`` and ``class_form`` are the canonical text and form of its
     minimized class, and ``constants`` the class's constants in order.
     ``steps`` is ``None`` until a walk first expands the form, and then the
     forms one generalization step away, in generation order (atom removals,
-    then splits).
+    then splits).  A walk keys the forms it reached by their entries.
     """
 
-    __slots__ = ("text", "form", "class_text", "class_form", "constants", "steps")
+    __slots__ = ("form", "class_text", "class_form", "constants", "steps")
 
     def __init__(
         self,
-        text: str,
         form: ConjunctiveQuery,
         class_text: str,
         class_form: ConjunctiveQuery,
     ) -> None:
-        self.text = text
         self.form = form
         self.class_text = class_text
         self.class_form = class_form
@@ -213,10 +213,11 @@ def _form_of(
     """The entry of ``raw`` in the run's form memo ``forms``, made on a miss.
 
     Queries of equal ``shape`` are renamings, with one canonical form, so
-    one entry serves them all.  A miss renders ``raw``, interning its atoms
-    in ``atoms``, and minimizes the form.  ``minimize`` returns its input
-    when no atom is redundant, and a canonical form is its own canonical
-    form, so then the class is the form itself and is not rendered again.
+    one entry serves them all.  A miss renames ``raw`` canonically,
+    interning its atoms in ``atoms``, and minimizes the form.  ``minimize``
+    returns its input when no atom is redundant, and a canonical form is its
+    own canonical form, so then the class is the form itself, with the text
+    just rendered.
     """
     key = shape(raw, True)
     entry = forms.get(key)
@@ -224,9 +225,10 @@ def _form_of(
         text, form = canonical_form(raw, atoms=atoms)
         minimal = minimize(form)
         if minimal is form:
-            entry = _Form(text, form, text, form)
+            entry = _Form(form, text, form)
         else:
-            entry = _Form(text, form, *canonical_form(minimal, atoms=atoms))
+            text, minimal = canonical_form(minimal, atoms=atoms)
+            entry = _Form(form, text, minimal)
         forms[key] = entry
     return entry
 
@@ -409,7 +411,6 @@ def _rules_for_group(
     # the position of each of the representative's constants in the members'
     # value tuples: a group's free values are pairwise distinct
     position = {value: i for i, value in enumerate(values[0])}
-    base_text = texts[0]
     consequents = [text + "." for text in texts]
     dot, add = rules.dot, rules.add
     if config.include_trivial:
@@ -471,22 +472,22 @@ def _rules_for_group(
         return confident
 
     everyone = (1 << len(texts)) - 1
-    # raw text -> members that reached the form
-    reached = {base_text: everyone}
-    # antecedent text -> [members decided, members confident]; the base's own
-    # class is confident for all and never reported as a rule
-    verdicts = {base_text: [everyone, everyone]}
-    frontier = {base_text: [group.base, everyone]}
+    base = group.base
+    # form memo entry -> members that reached the form
+    reached = {base: everyone}
+    # antecedent class text -> [members decided, members confident]; the
+    # base's own class is confident for all and never reported as a rule
+    verdicts = {base.class_text: [everyone, everyone]}
+    frontier = {base: everyone}
     while frontier:
-        next_frontier: dict[str, list] = {}
-        for entry, live in frontier.values():
+        next_frontier: dict[_Form, int] = {}
+        for entry, live in frontier.items():
             for step in _steps_of(entry, forms, state):
-                raw_text = step.text
-                earlier = reached.get(raw_text, 0)
+                earlier = reached.get(step, 0)
                 new = live & ~earlier
                 if not new:
                     continue
-                reached[raw_text] = earlier | new
+                reached[step] = earlier | new
                 verdict = verdicts.get(step.class_text)
                 if verdict is None:
                     verdict = verdicts[step.class_text] = [0, 0]
@@ -499,11 +500,7 @@ def _rules_for_group(
                 confident = new & verdict[1]
                 if not confident:
                     continue  # every further generalization is even less confident
-                pending = next_frontier.get(raw_text)
-                if pending is None:
-                    next_frontier[raw_text] = [step, confident]
-                else:
-                    pending[1] |= confident
+                next_frontier[step] = next_frontier.get(step, 0) | confident
         frontier = next_frontier
 
 
@@ -517,21 +514,14 @@ def run_phase2(
     Each frequent query (with placeholders instantiated) is taken in turn as
     a consequent, and its antecedents are explored from most to least
     confident, one walk per group of consequents that differ only by their
-    constants.  The walks share one table of grouped counts, seeded with
-    the phase-1 count of each consequent without constants, one form memo
+    constants.  The walks share one table of grouped counts, one form memo
     and the rules' shared parts.  The result is sorted by descending
     confidence, then antecedent and consequent text (with the trailing
     period, as printed).
     """
     forms: dict[tuple, _Form] = {}
     groups = _consequent_groups(state, forms)
-    # phase 1 counted every consequent; one without constants is its group's
-    # one member, looked up as an antecedent by its class form
-    grouped: dict[ConjunctiveQuery, _Counted] = {
-        group.base.class_form: (GroupedSupport((), {(): group.counts[0]}), {})
-        for group in groups
-        if not group.base.constants
-    }
+    grouped: dict[ConjunctiveQuery, _Counted] = {}
     rules = _Rules()
     for group in groups:
         _rules_for_group(group, state, instance, config, grouped, forms, rules)

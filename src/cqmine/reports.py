@@ -5,8 +5,8 @@
 tab-separated so they can be diffed and grepped, show the same queries and
 numbers.  All three are written in one pass over the frequent records and
 one pass over the rules, and no report is held in memory.  The writer
-renders nothing it can read: each frequent instance is the record's text,
-and each rule side is the rule's text.
+renders no query: each headline is the record's class key, each frequent
+instance the record's text, and each rule side the rule's text.
 
 ``run.json`` is byte for byte what ``json.dump(..., indent=2,
 ensure_ascii=False)`` would write for the same document: its fixed-shape
@@ -23,7 +23,6 @@ from typing import Any, Iterable, TextIO
 
 from .phase1 import MinerState
 from .phase2 import AssociationRule
-from .queries import canonical_text
 
 __all__ = [
     "write_frequent",
@@ -57,24 +56,22 @@ def write_frequent(
     for a discovery with constant placeholders one indented line per
     frequent assignment, showing the instantiated query with its own
     support; the discovery's headline support is the best assignment's.
-    ``run_json`` gets the ``frequent`` array of ``run.json``.  Each instance
-    is the record's own text; only the headline of a discovery with
-    placeholders is rendered here, by ``canonical_text``.
+    ``run_json`` gets the ``frequent`` array of ``run.json``.  Nothing is
+    rendered here: each headline is the record's key, which is its query's
+    canonical text, and each instance is the record's own text.
     """
     opening = "[\n"
     for record in state.frequent_records():
         grouped = record.frequent_constants
+        query = record.key + "."
+        assignments: list[tuple[tuple[str, ...], int, str]] = []
         if grouped.symbols:
-            query = canonical_text(record.query) + "."
             assignments = [
                 (values, count, instance + ".")
                 for (values, count), instance in zip(
                     grouped.sorted_items(), record.texts
                 )
             ]
-        else:
-            query = record.texts[0] + "."
-            assignments = ()
         if text is not None:
             text.write(f"{record.support}\t{query}\n")
             for _, count, instance in assignments:

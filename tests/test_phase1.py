@@ -394,7 +394,7 @@ def mark_frequent(state, text, instance):
     key, query = class_of(parse_query(text), state)
     grouped = support_grouped(query, instance, state.config.minsup)
     assert grouped, text
-    state.frequent_index[key] = QueryRecord(query, grouped.best(), 1, grouped)
+    state.frequent_index[key] = QueryRecord(key, query, grouped.best(), 1, grouped)
 
 
 def test_prune_stops_at_first_infrequent_parent(

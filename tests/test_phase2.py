@@ -353,32 +353,31 @@ def test_each_form_is_expanded_once_per_run(
     maxtwo_state, beer_instance, rules_half, monkeypatch
 ):
     # consequents share most of their generalizations, so the walk generates
-    # a form's steps once per run and every later consequent reads them
+    # a form's steps once per memo entry and every later consequent reads
+    # them; each entry holds its own form object, kept alive here, so the
+    # objects' identities tell the entries apart
     expanded = []
 
     def recording_atom_removals(form):
-        expanded.append(canonical_form(form)[0])
+        expanded.append(form)
         return atom_removals(form)
 
     monkeypatch.setattr(cqmine.phase2, "atom_removals", recording_atom_removals)
     rules = run_phase2(maxtwo_state, beer_instance, RuleConfig(Fraction(1, 2)))
     assert rules == rules_half
     assert expanded
-    assert len(expanded) == len(set(expanded))
+    assert len(expanded) == len(set(map(id, expanded)))
 
 
-def test_supports_held_from_phase_one_are_not_counted_again(
+def test_every_count_comes_from_the_instance_table(
     maxtwo_state, beer_instance, rules_half, monkeypatch
 ):
-    # every support comes from one table of grouped counts: a constant-free
-    # consequent's count is phase 1's, and an antecedent is counted at most
-    # once per run, however many walks reach it, with any constants it keeps
-    # re-opened as placeholders
-    consequents = {
-        ordered_key(record.query)
-        for record in maxtwo_state.frequent_records()
-        if not record.query.symbolic_constants()
-    }
+    # every support comes from one table of grouped counts: an antecedent,
+    # a constant-free consequent reached from another walk included, is
+    # counted at most once per run, however many walks reach it, with any
+    # constants it keeps re-opened as placeholders; its components come from
+    # the instance's table, where phase 1 left them (the SQL statements are
+    # pinned by ``test_each_component_runs_as_sql_once_per_instance``)
     counted = []
 
     def recording_support_grouped(query, instance, minsup=1):
@@ -390,9 +389,8 @@ def test_supports_held_from_phase_one_are_not_counted_again(
     assert rules == rules_half
     assert len(counted) == len(set(counted))
     assert not any(query.constants() for query in counted)
-    assert not consequents & {ordered_key(query) for query in counted}
     # the count calls of beer at two atoms, minsup 2 and minconf 1/2
-    assert len(counted) == 234
+    assert len(counted) == 324
 
 
 def test_each_component_runs_as_sql_once_per_instance(beer_instance, rules_half):
@@ -496,7 +494,9 @@ def test_equal_values_form_a_group_of_their_own():
     assert grouped.counts == {
         ("p", "p"): 3, ("p", "q"): 2, ("q", "p"): 2, ("q", "q"): 2
     }
-    state.frequent_index[key] = QueryRecord(representative, grouped.best(), 1, grouped)
+    state.frequent_index[key] = QueryRecord(
+        key, representative, grouped.best(), 1, grouped
+    )
     state.levels.append(Level(1, (key,), (key,)))
     # ('p', 'q') and ('q', 'p') give the same query, which is walked once
     groups = cqmine.phase2._consequent_groups(state, {})
@@ -538,7 +538,10 @@ def test_records_carry_each_instance_text(maxtwo_state):
     assert redundant == 13
 
 
-def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch):
+def test_writer_renders_nothing(maxtwo_state, rules_half, monkeypatch):
+    # each headline is the record's key, which is its query's canonical text
+    records = maxtwo_state.frequent_records()
+    headlines = [f"{r.support}\t{canonical_text(r.query)}." for r in records]
     rendered, instantiated, forms = [], [], []
 
     def rendering(query, substitution=None):
@@ -553,26 +556,23 @@ def test_writer_renders_only_the_headlines(maxtwo_state, rules_half, monkeypatch
         forms.append(query)
         return canonical_form(query, **options)
 
-    monkeypatch.setattr(cqmine.reports, "canonical_text", rendering)
     for module in (cqmine.queries, cqmine.phase2):
+        monkeypatch.setattr(module, "canonical_text", rendering)
         monkeypatch.setattr(module, "instantiate", instantiating)
     for module in (cqmine.queries, cqmine.phase1, cqmine.phase2):
         monkeypatch.setattr(module, "canonical_form", forming)
     # phase 2 has run on this state (``rules_half``); the writer renders no
-    # full canonical form
+    # text and no canonical form (the parent design rendered 294 headlines)
     frequent_txt = io.StringIO()
     write_frequent(maxtwo_state, frequent_txt, io.StringIO())
-    assert not hasattr(cqmine.reports, "instantiate")
-    assert not hasattr(cqmine.reports, "canonical_form")
+    for name in ("canonical_text", "canonical_form", "instantiate"):
+        assert not hasattr(cqmine.reports, name)
+    assert rendered == []
     assert instantiated == []
     assert forms == []
-    # one rendering per discovery with placeholders: its headline
-    records = maxtwo_state.frequent_records()
-    assert rendered == [
-        (r.query, None) for r in records if r.frequent_constants.symbols
-    ]
-    assert len(rendered) == 294
     lines = frequent_txt.getvalue().splitlines()
+    assert [line for line in lines if not line.startswith("  ")] == headlines
+    assert headlines == [f"{r.support}\t{r.key}." for r in records]
     instances = [line for line in lines if line.startswith("  ")]
     assert instances == [
         f"  {count}\t{canonical_form(query)[0]}."

@@ -8,7 +8,9 @@ equivalent to its input.  Phase 1 memoizes class keys by a shape that
 ignores the same names, which is sound only if renamed copies of a query get
 the class its own minimization and canonical form would give; phase 2
 memoizes its walk forms by that shape, head order kept, which is sound only
-if renamed copies get their own raw and minimized forms.  Every
+if renamed copies get their own raw and minimized forms.  The reports print
+a class key as its representative's text, which is sound only if the key is
+the representative's canonical text with its head order kept.  Every
 support is one grouped count, which for a query without placeholders must
 be its answer count at the one empty assignment; kept as per-component
 factors, shared between renamed components, it must give the supports
@@ -32,6 +34,7 @@ from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +51,7 @@ from cqmine.phase1 import (
     QueryRecord,
     class_of,
     immediate_generalizations,
+    parse_key_atom,
     run_phase1,
     specializations,
 )
@@ -198,7 +202,7 @@ def test_form_memo_agrees_on_renamed_copies(data):
             copies.append(ConjunctiveQuery(tuple(head), body))
     for raw in originals + copies:
         entry = phase2._form_of(raw, forms, atoms)
-        assert (entry.text, entry.form) == canonical_form(raw)
+        assert entry.form == canonical_form(raw)[1]
         class_text, class_form = canonical_form(minimize(raw))
         assert (entry.class_text, entry.class_form) == (class_text, class_form)
         assert entry.constants == tuple(sorted(class_form.constants()))
@@ -241,6 +245,28 @@ def pinned(query):
     """Each placeholder of ``query`` bound to a constant of its own, which
     no homomorphism may move."""
     return {s: f"#{s.index}" for s in query.symbolic_constants()}
+
+
+@PROPERTY
+@given(st.one_of(queries(), tied_queries()), st.sampled_from(sorted(KEY_ATOM_MODES)))
+def test_a_class_key_is_its_representatives_text(query, mode):
+    # the writer prints a record's key as its headline, the representative's
+    # own canonical text with its head order kept
+    modulo = KEY_ATOM_MODES[mode].key_atom is None
+    key, representative = canonical_form(
+        minimize(query), modulo_head_permutation=modulo
+    )
+    assert canonical_text(representative) == key
+
+
+@pytest.mark.parametrize("key_atom", [None, "likes(_,_)", "visits(_,_)"])
+def test_every_record_key_is_its_querys_text(beer_instance, key_atom):
+    anchor = key_atom and parse_key_atom(key_atom, beer_instance.schema)
+    config = MinerConfig(minsup=2, max_atoms=2, key_atom=anchor)
+    records = run_phase1(beer_instance, config).frequent_records()
+    assert records
+    for record in records:
+        assert record.key == canonical_text(record.query)
 
 
 @PROPERTY
@@ -402,7 +428,9 @@ def placeholder_queries(draw):
 def test_text_renderers_give_the_instantiated_canonical_text(drawn):
     query, symbols, assignments = drawn
     counts = {values: i for i, values in enumerate(assignments, start=1)}
-    grouped = GroupedSupport(symbols, counts)
+    # one factor holds every placeholder in index order, counts descending
+    descending = dict(sorted(counts.items(), key=lambda kv: -kv[1]))
+    grouped = GroupedSupport(symbols, ((tuple(range(len(symbols))), descending),))
     expected = []
     for values, _ in grouped.sorted_items():
         assignment = dict(zip(symbols, values))
@@ -412,7 +440,7 @@ def test_text_renderers_give_the_instantiated_canonical_text(drawn):
         substitution = {s: Constant(value) for s, value in assignment.items()}
         assert canonical_text(query, substitution) == text
         expected.append(text)
-    record = QueryRecord(query, grouped.best(), 1, grouped)
+    record = QueryRecord(canonical_text(query), query, grouped.best(), 1, grouped)
     assert record.texts == tuple(expected)
 
 

@@ -34,7 +34,7 @@ from .queries import (
     canonical_form,
     fresh_symbolic_constant,
     fresh_variable,
-    instance_texts,
+    instance_renderer,
     shape,
     substitute_terms,
     unchecked_query,
@@ -113,8 +113,9 @@ class QueryRecord:
 
     ``texts`` holds the canonical text, head order kept, of the query
     instantiated at each frequent assignment, in ``sorted_items`` order.
-    Each instance is rendered here, once, by ``instance_texts``, and phase 2
-    and the reports read the text.  A discovery without symbolic constants
+    Each instance is rendered here, once, by ``instance_renderer``, which
+    renders the query once per order type of the values, and phase 2 and
+    the reports read the text.  A discovery without symbolic constants
     holds ``(key,)``: the representative is the minimized query renamed by
     its least naming, so its own canonical text is the key.
     """
@@ -136,10 +137,9 @@ class QueryRecord:
         self.frequent_constants = frequent_constants
         self.texts = (key,)
         if frequent_constants.symbols:
-            self.texts = instance_texts(
-                query,
-                frequent_constants.symbols,
-                [values for values, _ in frequent_constants.sorted_items()],
+            render = instance_renderer(query, frequent_constants.symbols)
+            self.texts = tuple(
+                render(values) for values, _ in frequent_constants.sorted_items()
             )
 
 

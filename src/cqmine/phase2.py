@@ -56,10 +56,11 @@ factored, one dict per connected component, taken from the instance's
 table of component counts, where phase 1 left nearly all of them, and a
 member's support multiplies its factors' counts at its values
 (``GroupedSupport.count``).  Rule sides are always the instantiated
-queries' own canonical texts, made by ``canonical_text`` or read from the
-records, whose ``instance_texts`` puts values into one rendering only where
-no relation repeats: elsewhere instantiation can reorder the least
-rendering.
+queries' own canonical texts, read from the records or made by
+``queries.instance_renderer``, which renders a query with placeholders
+once per order type of the values and puts each instance's values into
+that rendering: the order of the values, not the values, decides how
+instantiation orders the least rendering.
 
 Rules share their parts.  Each member's printed consequent is made once,
 each printed antecedent once per run, and each confidence is one
@@ -86,7 +87,7 @@ from .queries import (
     Constant,
     SymbolicConstant,
     canonical_form,
-    canonical_text,
+    instance_renderer,
     instantiate,
     shape,
     substitute_terms,
@@ -266,10 +267,10 @@ def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Gr
 
     A member's text is its record's rendering of the instance, except in a
     merging pattern: there the record shows the raw instantiation, while
-    the consequent is its minimized class, so those members' texts are
-    rendered from the minimized pattern by ``canonical_text``.  Only each
-    group's first member is instantiated, for the form its walk starts
-    from, which it looks up in the form memo ``forms``.
+    the consequent is its minimized class, so those members' texts come
+    from the minimized pattern's ``instance_renderer``.  Only each group's
+    first member is instantiated, for the form its walk starts from, which
+    it looks up in the form memo ``forms``.
     """
     claimed: set[str] = set()
     groups: list[_Group] = []
@@ -286,27 +287,28 @@ def _consequent_groups(state: MinerState, forms: dict[tuple, _Form]) -> list[_Gr
         for pattern, members in patterns.items():
             free = [i for i, label in enumerate(pattern) if label == i]
             merging = len(free) < len(pattern)
+            free_symbols = tuple(symbols[i] for i in free)
             pattern_query = query
             # merging patterns stay: on beer at two atoms their members all
             # repeat other texts, but at three (``--minsup 3``) dropping them
             # loses 231 consequents, each another discovery's instance with
-            # its head reordered, and 2,387 of 440,070 rules at minconf 0.5
+            # its head reordered, and 2,387 of 440,070 rules at minconf 0.5;
+            # the text the ``claimed`` check needs is a fill of the minimized
+            # pattern's rendering for the order type of the member's values
             if merging:
                 merge = dict(zip(symbols, (symbols[label] for label in pattern)))
                 pattern_query = minimize(
                     unchecked_query(query.head, substitute_terms(query.body, merge))
                 )
+                render = instance_renderer(pattern_query, free_symbols)
             base = None
             texts: list[str] = []
             counts: list[int] = []
             member_values: list[tuple[str, ...]] = []
-            free_symbols = [symbols[i] for i in free]
             for assignment, count, text in members:
                 values = tuple(assignment[i] for i in free) if merging else assignment
                 if merging:
-                    text = canonical_text(
-                        pattern_query, dict(zip(free_symbols, map(Constant, values)))
-                    )
+                    text = render(values)
                 if text in claimed:
                     continue
                 claimed.add(text)
@@ -433,8 +435,10 @@ def _rules_for_group(
         meets this antecedent class.  Every support is read from
         ``grouped``, at the member's values of the antecedent's constants.
         A member's own instantiation of an antecedent with constants is
-        rendered by ``canonical_text`` and kept in the entry's ``rendered``
-        dict, the per-run cache of those texts."""
+        rendered from ``lookup``, the antecedent with its constants
+        re-opened as placeholders, by a renderer kept for this call, and
+        kept in the entry's ``rendered`` dict, the per-run cache of those
+        texts."""
         # members other than the representative see other constants, so the
         # count is looked up with them re-opened as placeholders
         positions = [position[c.value] for c in constants]
@@ -444,6 +448,7 @@ def _rules_for_group(
             lookup = unchecked_query(
                 antecedent.head, substitute_terms(antecedent.body, reopen)
             )
+            render = instance_renderer(lookup, tuple(reopen.values()))
         entry = grouped.get(lookup)
         if entry is None:
             entry = grouped[lookup] = (support_grouped(lookup, instance, minsup), {})
@@ -464,8 +469,7 @@ def _rules_for_group(
                 # the member's own instantiation, rendered once per run
                 text = rendered.get(key)
                 if text is None:
-                    substitution = dict(zip(constants, map(Constant, key)))
-                    text = rendered[key] = dot(canonical_text(antecedent, substitution))
+                    text = rendered[key] = dot(render(key))
             else:
                 text = dot(antecedent_text)
             add(text, consequents[member], counts[member], antecedent_support)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import re
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Union
 
 from .errors import QueryError
 
@@ -546,35 +546,46 @@ def canonical_text(
     return _least_form(head, tuple(sorted(body)), lazy_head=False)[0]
 
 
-def instance_texts(
-    query: ConjunctiveQuery,
-    symbols: tuple[SymbolicConstant, ...],
-    assignments: Iterable[tuple[str, ...]],
-) -> tuple[str, ...]:
-    """``canonical_text`` of ``query`` with ``symbols``, which name all its
-    placeholders, bound to each assignment's values in turn.
+def instance_renderer(
+    query: ConjunctiveQuery, symbols: tuple[SymbolicConstant, ...]
+) -> Callable[[tuple[str, ...]], str]:
+    """A function from an assignment of values to ``symbols``, which name
+    all the placeholders of ``query``, to the ``canonical_text`` of
+    ``query`` with each placeholder bound to its value.
 
-    When no relation repeats in the body, the atoms sort by relation alone,
-    whatever the values, and no assignment collapses two of them, so every
-    assignment's least rendering takes the same atom order and names the
-    variables alike.  The query is then rendered once, each placeholder
-    bound to a marker value, and each text puts its own quoted values in
-    the markers' places.  A body with a repeated relation or a literal
-    constant (which could render as a marker) is rendered per assignment.
+    The least rendering's search meets a value only where it compares two
+    renderings, and in ``query``, which must hold no literal constant, the
+    text around a value holds no quote.  So a value against that text is
+    decided by its leading quote, and two values by their quoted texts with
+    ``(`` appended: a quoted value that is a proper prefix of another is
+    followed by ``,`` or ``)``, where the other doubles its closing quote,
+    and both sort above the quote, as ``(`` does.  The search's path, and
+    so the text, then depends only on the values' order type: the rank of
+    each quoted value so extended, equal values tied.  The query is
+    rendered once per order type, each placeholder bound to a fixed-width
+    marker ``'\\0<rank>'`` of its rank, and each text puts its own quoted
+    values in the markers' places.
     """
-    relations = [relation for relation, _ in query[1]]
-    if len(set(relations)) < len(relations) or query.constants():
-        return tuple(
-            canonical_text(query, dict(zip(symbols, map(Constant, values))))
-            for values in assignments
-        )
-    markers = {symbol: Constant(f"\0{i}") for i, symbol in enumerate(symbols)}
-    # text between markers at even places, a marker's placeholder at odd ones
-    parts = re.split("'\0([0-9]+)'", canonical_text(query, markers))
-    slots = [(place, int(parts[place])) for place in range(1, len(parts), 2)]
-    texts = []
-    for values in assignments:
-        for place, slot in slots:
-            parts[place] = render_term(Constant(values[slot]))
-        texts.append("".join(parts))
-    return tuple(texts)
+    if query.constants():
+        raise QueryError(f"cannot render the instances of {query}: it has constants")
+    width = len(str(len(symbols)))
+    # order type -> the marker rendering split at its markers (text at even
+    # places), and each marker's place with a placeholder of its rank
+    templates: dict[tuple[int, ...], tuple[list[str], list[tuple[int, int]]]] = {}
+
+    def render(values: tuple[str, ...]) -> str:
+        quoted = [render_term(Constant(value)) for value in values]
+        keys = [text + "(" for text in quoted]
+        order = tuple(map(sorted(keys).index, keys))
+        template = templates.get(order)
+        if template is None:
+            markers = {s: Constant(f"\0{r:0{width}}") for s, r in zip(symbols, order)}
+            parts = re.split("'\0([0-9]+)'", canonical_text(query, markers))
+            slots = [(p, order.index(int(parts[p]))) for p in range(1, len(parts), 2)]
+            template = templates[order] = (parts, slots)
+        parts, slots = template
+        for place, i in slots:
+            parts[place] = quoted[i]
+        return "".join(parts)
+
+    return render

@@ -29,7 +29,13 @@ from cqmine.phase1 import (
     run_phase1,
 )
 from cqmine.phase2 import AssociationRule, RuleConfig, run_phase2
-from cqmine.queries import canonical_form, canonical_text, instantiate, parse_query
+from cqmine.queries import (
+    canonical_form,
+    canonical_text,
+    instance_renderer,
+    instantiate,
+    parse_query,
+)
 from cqmine.relational import Instance, RelationDecl, Schema
 from cqmine.reports import write_frequent, write_reports
 
@@ -408,6 +414,27 @@ def test_each_component_runs_as_sql_once_per_instance(beer_instance, rules_half)
     assert len(statements) == len(instance.component_counts) == 148
 
 
+def test_instance_texts_render_once_per_order_type(
+    beer_instance, rules_half, monkeypatch
+):
+    # every instance text is filled into a rendering of its query made once
+    # per order type of the values (the parent design made 689 renderings in
+    # phase 1 and 824 in phase 2, one per instance where a relation repeats)
+    rendered = []
+
+    def rendering(query, substitution=None):
+        rendered.append(query)
+        return canonical_text(query, substitution)
+
+    monkeypatch.setattr(cqmine.queries, "canonical_text", rendering)
+    state = run_phase1(beer_instance, MinerConfig(minsup=2, max_atoms=2))
+    assert len(rendered) == 421
+    rules = run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2)))
+    assert rules == rules_half
+    assert not hasattr(cqmine.phase2, "canonical_text")
+    assert len(rendered) == 421 + 329
+
+
 def test_no_rules_without_frequent_queries(beer_instance):
     state = run_phase1(beer_instance, MinerConfig(minsup=37, max_atoms=2))
     assert run_phase2(state, beer_instance, RuleConfig(Fraction(1, 2))) == []
@@ -542,11 +569,15 @@ def test_writer_renders_nothing(maxtwo_state, rules_half, monkeypatch):
     # each headline is the record's key, which is its query's canonical text
     records = maxtwo_state.frequent_records()
     headlines = [f"{r.support}\t{canonical_text(r.query)}." for r in records]
-    rendered, instantiated, forms = [], [], []
+    rendered, renderers, instantiated, forms = [], [], [], []
 
     def rendering(query, substitution=None):
         rendered.append((query, substitution))
         return canonical_text(query, substitution)
+
+    def making_renderer(query, symbols):
+        renderers.append(query)
+        return instance_renderer(query, symbols)
 
     def instantiating(query, assignment):
         instantiated.append(query)
@@ -556,8 +587,12 @@ def test_writer_renders_nothing(maxtwo_state, rules_half, monkeypatch):
         forms.append(query)
         return canonical_form(query, **options)
 
+    # every text is rendered by ``queries.canonical_text``, instance texts
+    # by the renderers phase 1 and phase 2 make
+    monkeypatch.setattr(cqmine.queries, "canonical_text", rendering)
+    for module in (cqmine.phase1, cqmine.phase2):
+        monkeypatch.setattr(module, "instance_renderer", making_renderer)
     for module in (cqmine.queries, cqmine.phase2):
-        monkeypatch.setattr(module, "canonical_text", rendering)
         monkeypatch.setattr(module, "instantiate", instantiating)
     for module in (cqmine.queries, cqmine.phase1, cqmine.phase2):
         monkeypatch.setattr(module, "canonical_form", forming)
@@ -565,9 +600,11 @@ def test_writer_renders_nothing(maxtwo_state, rules_half, monkeypatch):
     # text and no canonical form (the parent design rendered 294 headlines)
     frequent_txt = io.StringIO()
     write_frequent(maxtwo_state, frequent_txt, io.StringIO())
-    for name in ("canonical_text", "canonical_form", "instantiate"):
+    names = ("canonical_text", "canonical_form", "instantiate", "instance_renderer")
+    for name in names:
         assert not hasattr(cqmine.reports, name)
     assert rendered == []
+    assert renderers == []
     assert instantiated == []
     assert forms == []
     lines = frequent_txt.getvalue().splitlines()
@@ -585,18 +622,29 @@ def test_writer_renders_nothing(maxtwo_state, rules_half, monkeypatch):
 
 
 def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch):
-    bases, members = [], []
+    bases, patterns, members, templates = [], [], [], []
 
     def instantiating(query, assignment):
         bases.append((query, assignment))
         return instantiate(query, assignment)
 
-    def rendering(query, substitution=None):
-        members.append(query)
+    def making_renderer(query, symbols):
+        patterns.append(query)
+        render = instance_renderer(query, symbols)
+
+        def rendering(values):
+            members.append(values)
+            return render(values)
+
+        return rendering
+
+    def templating(query, substitution=None):
+        templates.append(query)
         return canonical_text(query, substitution)
 
     monkeypatch.setattr(cqmine.phase2, "instantiate", instantiating)
-    monkeypatch.setattr(cqmine.phase2, "canonical_text", rendering)
+    monkeypatch.setattr(cqmine.phase2, "instance_renderer", making_renderer)
+    monkeypatch.setattr(cqmine.queries, "canonical_text", templating)
     groups = cqmine.phase2._consequent_groups(maxtwo_state, {})
     records = maxtwo_state.frequent_records()
     # each group's first member alone is instantiated, for the form its walk
@@ -606,14 +654,18 @@ def test_groups_render_only_bases_and_merging_members(maxtwo_state, monkeypatch)
     ]
     # only the text of a member of a minimized pattern that merges
     # placeholders is rendered, once per member; the others are the records'
-    assert not any(query is record.query for query in members for record in records)
+    assert not any(query is record.query for query in patterns for record in records)
     merging_members = sum(
         len(set(values)) < len(values)
         for record in records
         for values in record.frequent_constants.counts
     )
     assert len(members) == merging_members == 117
-    assert len(bases) + len(members) < sum(len(record.texts) for record in records)
+    # a member's text is filled into its pattern's rendering for the order
+    # type of its values: 39 patterns take 42 renderings (117 before)
+    assert len(patterns) == 39
+    assert len(templates) == 42
+    assert len(bases) + len(templates) < sum(len(record.texts) for record in records)
 
 
 def test_group_members_are_value_tuples(maxtwo_state):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import _oracle
@@ -43,6 +43,7 @@ from _oracle import support
 from cqmine import containment, generalization, phase1, phase2
 from cqmine import queries as queries_module
 from cqmine.containment import is_diagonally_contained, is_equivalent, minimize
+from cqmine.errors import QueryError
 from cqmine.evaluation import GroupedSupport, support_grouped
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
@@ -66,6 +67,7 @@ from cqmine.queries import (
     canonical_text,
     fresh_symbolic_constant,
     fresh_variable,
+    instance_renderer,
     instantiate,
     parse_query,
     shape,
@@ -386,8 +388,17 @@ def test_factored_support_is_the_filtered_product(query, instance):
         assert {values: looked_up.count(values) for values in meeting} == meeting
 
 
-# values that quoting and joining must carry through unchanged
-AWKWARD_VALUES = ["p", "it's", "{0}", "}{", "a, b", "q)", "''"]
+# values whose quoted texts are prefixes of one another's: in context they
+# order as they do bare only once ``(`` follows each
+QUOTED_PREFIXES = ["a", "a'", "a'b", "a''", "", "''"]
+# values that quoting and joining must carry through unchanged: those, and
+# characters below ``)`` and ``,``, and one that reads like a marker of
+# ``instance_renderer``
+AWKWARD_VALUES = [
+    *("p", "it's", "{0}", "}{", "a, b", "q)"),
+    *QUOTED_PREFIXES,
+    *(" ", "!", "\t", "(", "\0", "\0" + "000"),
+]
 PLACEHOLDERS = [SymbolicConstant(i) for i in (1, 2, 3)]
 
 
@@ -395,15 +406,18 @@ PLACEHOLDERS = [SymbolicConstant(i) for i in (1, 2, 3)]
 def placeholder_queries(draw):
     """A body of one to four atoms with placeholders, over distinct
     relations or with one relation repeated, and several frequent
-    assignments; values repeat often, so atoms often collapse."""
+    assignments drawn from a few values; values repeat often, so atoms
+    often collapse."""
     size = draw(st.integers(1, 4))
     if draw(st.booleans()):
         relations = draw(st.permutations(["like", "likes", "visits", "serves"]))
     else:
         relations = [draw(st.sampled_from(["like", "likes"])) for _ in range(size)]
-    # no literal constant, one, or one that renders like a marker of
-    # instance_texts
-    literals = draw(st.sampled_from([[], [Constant("it's")], [Constant("\0" + "0")]]))
+    # mostly no literal constant; else one, or one that renders like a
+    # marker of ``instance_renderer``, which only ``canonical_text`` takes
+    literals = draw(
+        st.sampled_from([[], [], [Constant("it's")], [Constant("\0" + "0")]])
+    )
     terms = st.sampled_from([*VARIABLES[:3], *PLACEHOLDERS, *literals])
     body = frozenset(
         Atom(relation, (draw(terms), draw(terms))) for relation in relations[:size]
@@ -416,15 +430,30 @@ def placeholder_queries(draw):
     head = draw(st.lists(st.sampled_from(body_vars), min_size=1, unique=True))
     query = ConjunctiveQuery(tuple(head), body)
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
-    values = st.sampled_from(AWKWARD_VALUES[: draw(st.integers(1, 7))])
+    family = draw(st.sampled_from([QUOTED_PREFIXES, AWKWARD_VALUES]))
+    pool = draw(st.lists(st.sampled_from(family), min_size=1, max_size=4))
+    values = st.sampled_from(pool)
     assignments = draw(
         st.lists(st.tuples(*[values] * len(symbols)), min_size=1, max_size=5, unique=True)
     )
     return query, symbols, assignments
 
 
+# ``'a'`` is a prefix of ``'a'''`` and ``'a''b'`` bare, yet in context
+# ``like(x1, 'a'''), like(x1, 'a')`` is the least rendering
+PREFIXED = (
+    ConjunctiveQuery(
+        (VARIABLES[0],),
+        frozenset(Atom("like", (VARIABLES[0], s)) for s in PLACEHOLDERS[:2]),
+    ),
+    tuple(PLACEHOLDERS[:2]),
+    [("a", "a'"), ("a'b", "a")],
+)
+
+
 @PROPERTY
 @given(placeholder_queries())
+@example(PREFIXED)
 def test_text_renderers_give_the_instantiated_canonical_text(drawn):
     query, symbols, assignments = drawn
     counts = {values: i for i, values in enumerate(assignments, start=1)}
@@ -440,6 +469,11 @@ def test_text_renderers_give_the_instantiated_canonical_text(drawn):
         substitution = {s: Constant(value) for s, value in assignment.items()}
         assert canonical_text(query, substitution) == text
         expected.append(text)
+    if query.constants():
+        # the renderer's exactness rests on a body without literal constants
+        with pytest.raises(QueryError):
+            instance_renderer(query, symbols)
+        return
     record = QueryRecord(canonical_text(query), query, grouped.best(), 1, grouped)
     assert record.texts == tuple(expected)
 

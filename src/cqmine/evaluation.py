@@ -6,9 +6,17 @@ on a row of its relation.  Support is the number of distinct answer tuples.
 
 Every support is a grouped count: each assignment of the query's
 placeholders to constants gets its own support, and a query without
-placeholders has the one empty assignment ``()``.  Every query runs as the
-SQL that ``cqmine.sqlgen`` renders, on the instance's sqlite3 database; a
-database error becomes a ``QueryError``.
+placeholders has the one empty assignment ``()``.  Queries are evaluated
+in process, set at a time (``_join``): the atoms are joined one at a time,
+the atom with the most bound arguments first, each by probing an index of
+its relation that the instance keeps (``Instance.indexes``).  An index is
+keyed by the relation and the atom's argument pattern; it holds only the
+rows that match the atom's constants and repeated terms, grouped by the
+values of its bound variables.  After each join the rows are projected onto
+the terms still needed and deduplicated, which is exact under set
+semantics.  A body of more than 64 atoms is a ``QueryError``, so that every
+query evaluated is also one SQL statement that ``cqmine.sqlgen`` renders
+and SQLite can run (a join there holds at most 64 tables).
 
 Supports are counted per connected component of the body, where atoms are
 connected by shared variables and placeholders (constants link nothing).
@@ -16,18 +24,19 @@ The answer set is the Cartesian product of the components' answer sets, so
 the support is the product of per-component counts: the number of distinct
 projections onto the component's head variables, or 1 or 0 for whether a
 component without head variables is satisfiable, each taken per assignment
-of the component's placeholders.  A zero factor ends the count.
+of the component's placeholders.  A zero factor ends the count.  A count
+is the one ``sqlgen.factor_sql`` renders: with both head variables and
+placeholders it keeps only counts from a threshold on.
 
 An instance keeps one table of component counts
-(``Instance.component_counts``), so a component runs as SQL once per
+(``Instance.component_counts``), so a component is counted once per
 instance however many queries hold it.  Its key is left unchanged by
 renaming: the component's ``queries.shape`` with the head unordered (a
 count of distinct projections does not depend on head order); the shape
 numbers of its placeholders in index order, since ``shape`` numbers them by
 first occurrence and the values of two renamed components must line up; and
-the least count the SQL keeps, its ``HAVING`` threshold or else 1.  Equal
-shapes mean the components are renamings of each other, so sharing an entry
-is exact.
+the least count kept, the threshold or else 1.  Equal shapes mean the
+components are renamings of each other, so sharing an entry is exact.
 
 A ``GroupedSupport`` keeps these counts as its factors and multiplies at
 lookup: ``count`` gives the support at one assignment, and ``counts``
@@ -37,8 +46,9 @@ counts in descending order, on first use.
 
 from __future__ import annotations
 
-import sqlite3
+from collections import Counter
 from operator import itemgetter
+from typing import Callable, Collection, Iterable
 
 from .errors import QueryError
 from .queries import (
@@ -51,19 +61,117 @@ from .queries import (
     shape,
 )
 from .relational import Instance
-from .sqlgen import emit_sql, factor_sql
+
+# a join in SQLite holds at most 64 tables, one per body atom
+MAX_ATOMS = 64
 
 
-def _fetch(instance: Instance, sql: str, params: dict) -> list[tuple]:
-    try:
-        return instance.database.execute(sql, params).fetchall()
-    except sqlite3.Error as exc:
-        raise QueryError(f"query cannot be evaluated: {exc}") from exc
+def _check(query: ConjunctiveQuery, instance: Instance) -> None:
+    check_against_schema(query, instance.schema)
+    if len(query.body) > MAX_ATOMS:
+        raise QueryError(
+            f"query cannot be evaluated: its {len(query.body)} atoms exceed "
+            f"the {MAX_ATOMS} tables one SQL join can hold"
+        )
 
 
 def _require_plain(query: ConjunctiveQuery) -> None:
     if query.symbolic_constants():
         raise QueryError("query contains symbolic constants; use support_grouped")
+
+
+def _getter(positions: list[int]) -> Callable[[tuple], tuple]:
+    """The function taking a tuple to its values at ``positions``, as a tuple."""
+    if len(positions) == 1:
+        position = positions[0]
+        return lambda row: (row[position],)
+    return itemgetter(*positions) if positions else lambda row: ()
+
+
+Index = dict[tuple[str, ...], list[tuple[str, ...]]]
+
+
+def _index(instance: Instance, relation: str, pattern: tuple) -> Index:
+    """The instance's index of ``relation`` for an argument ``pattern``.
+
+    ``pattern`` has one entry per argument: a ``Constant`` the row must
+    hold, the earlier position whose value the row must repeat, ``"k"`` for
+    a key column or ``"o"`` for an output column.  The index maps the key
+    columns' values of each matching row to the output columns' values of
+    every such row.  It is built on first use and kept with the instance.
+    """
+    index = instance.indexes.get((relation, pattern))
+    if index is None:
+        index = instance.indexes[relation, pattern] = {}
+        checks = [
+            (position, entry)
+            for position, entry in enumerate(pattern)
+            if entry not in ("k", "o")
+        ]
+        key_of = _getter([p for p, entry in enumerate(pattern) if entry == "k"])
+        out_of = _getter([p for p, entry in enumerate(pattern) if entry == "o"])
+        for row in instance.tables[relation]:
+            if all(
+                row[p] == (row[entry] if type(entry) is int else entry[1])
+                for p, entry in checks
+            ):
+                index.setdefault(key_of(row), []).append(out_of(row))
+    return index
+
+
+def _join(
+    atoms: Iterable[Atom], kept: Collection[Term], instance: Instance
+) -> tuple[list[Term], set[tuple[str, ...]]]:
+    """The join of ``atoms`` projected onto the terms ``kept``: the terms in
+    column order, and the distinct rows of their values.
+
+    The atoms are joined one at a time, each time the one with the most
+    bound arguments (constants, and terms the rows already hold).  Each
+    join keeps only the columns that ``kept`` or a later atom needs.  The
+    rows are empty, and the columns may lack a kept term, once a join
+    leaves no row.
+    """
+    pending = sorted(atoms)
+    columns: list[Term] = []
+    rows: set[tuple[str, ...]] = {()}
+    while pending and rows:
+        bound = set(columns)
+        atom = max(
+            pending, key=lambda a: sum(t[0] == "c" or t in bound for t in a[1])
+        )
+        pending.remove(atom)
+        relation, args = atom
+        pattern: list = []
+        keys: list[int] = []
+        news: list[Term] = []
+        first: dict[Term, int] = {}
+        for position, term in enumerate(args):
+            if term[0] == "c":
+                pattern.append(term)
+            elif term in first:
+                pattern.append(first[term])
+            else:
+                first[term] = position
+                if term in bound:
+                    pattern.append("k")
+                    keys.append(columns.index(term))
+                else:
+                    pattern.append("o")
+                    news.append(term)
+        probe = _index(instance, relation, tuple(pattern)).get
+        needed = {t for a in pending for t in a[1]}.union(kept)
+        keep = [i for i, term in enumerate(columns) if term in needed]
+        fresh = [i for i, term in enumerate(news) if term in needed]
+        key_of, keep_of, fresh_of = _getter(keys), _getter(keep), _getter(fresh)
+        joined: set[tuple[str, ...]] = set()
+        for row in rows:
+            matches = probe(key_of(row))
+            if matches:
+                base = keep_of(row)
+                joined.update([base + fresh_of(match) for match in matches])
+        columns = [columns[i] for i in keep] + [news[i] for i in fresh]
+        rows = joined
+    return columns, rows
 
 
 Component = tuple[tuple[Variable, ...], list[SymbolicConstant], list[Atom]]
@@ -102,35 +210,54 @@ def _components(query: ConjunctiveQuery) -> list[Component]:
     return components
 
 
-def _component_counts(
+def _count(
     component: Component, instance: Instance, threshold: int
 ) -> dict[tuple[str, ...], int]:
     """The component's nonzero counts by its placeholders' values, in
-    descending order of count, kept only from ``threshold`` on where the SQL
-    applies one: from the instance's table, counted in SQL on a miss.  The
-    dict is the table's own, and is never changed."""
+    descending order of count: per assignment, the number of distinct
+    projections onto the head, kept from ``threshold`` on, or 1 where there
+    is no head.  Without placeholders the one assignment is ``()``."""
+    head, symbols, atoms = component
+    columns, rows = _join(atoms, {*head, *symbols}, instance)
+    if not rows:
+        return {}
+    values_of = _getter([columns.index(symbol) for symbol in symbols])
+    if not head:
+        return dict.fromkeys(map(values_of, rows), 1)
+    if not symbols:
+        return {(): len(rows)}
+    counts = Counter(map(values_of, rows)).most_common()
+    return {values: count for values, count in counts if count >= threshold}
+
+
+def _component_counts(
+    component: Component, instance: Instance, threshold: int
+) -> dict[tuple[str, ...], int]:
+    """The component's counts (see ``_count``) from the instance's table,
+    counted on a miss.  ``threshold`` applies only where there are both
+    head variables and placeholders.  The dict is the table's own, and is
+    never changed."""
     head, symbols, atoms = component
     numbers: dict[Term, int] = {}
     form = shape((head, atoms), False, numbers)
     if not (head and symbols):
-        threshold = 1  # the SQL applies none, and every count kept is nonzero
+        threshold = 1  # every count kept is nonzero
     key = (form, tuple(map(numbers.__getitem__, symbols)), threshold)
     table = instance.component_counts
     counts = table.get(key)
     if counts is None:
-        params = {"minsup": threshold}
-        rows = _fetch(instance, factor_sql(*component, instance.schema, params), params)
-        rows.sort(key=itemgetter(-1), reverse=True)
-        # a factor without placeholders is the one row (0,) when unsatisfiable
-        counts = table[key] = {tuple(row[:-1]): row[-1] for row in rows if row[-1]}
+        counts = table[key] = _count(component, instance, threshold)
     return counts
 
 
 def evaluate(query: ConjunctiveQuery, instance: Instance) -> frozenset[tuple[str, ...]]:
     """The answer set of a symbolic-constant-free query on an instance."""
     _require_plain(query)
-    params: dict = {}
-    return frozenset(_fetch(instance, emit_sql(query, instance.schema, params), params))
+    _check(query, instance)
+    columns, rows = _join(query.body, query.head, instance)
+    if not rows:
+        return frozenset()
+    return frozenset(map(_getter([columns.index(v) for v in query.head]), rows))
 
 
 Factor = tuple[tuple[int, ...], dict[tuple[str, ...], int]]
@@ -258,12 +385,12 @@ def support_grouped(
     counted as its one assignment ``()``.  The result's ``counts`` omits
     assignments with support below ``minsup``, and its ``count`` reads the
     support at any other.  A single component is counted with the
-    threshold in SQL; several are counted without one, and only their
-    products are filtered.  Each component comes from the instance's table
-    of component counts, and runs as SQL only when the table lacks it.
+    threshold; several are counted without one, and only their products
+    are filtered.  Each component comes from the instance's table of
+    component counts, and is counted only when the table lacks it.
     """
     symbols = tuple(sorted(query.symbolic_constants(), key=lambda s: s.index))
-    check_against_schema(query, instance.schema)
+    _check(query, instance)
     components = _components(query)
     threshold = minsup if len(components) == 1 else 1
     position = {symbol: i for i, symbol in enumerate(symbols)}

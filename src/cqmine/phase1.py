@@ -25,7 +25,7 @@ from typing import Iterator, NamedTuple
 
 from .containment import is_diagonally_contained, minimize
 from .errors import ConfigError
-from .evaluation import GroupedSupport, support_grouped
+from .evaluation import MAX_ATOMS, GroupedSupport, support_grouped
 from .generalization import atom_removals, splits
 from .queries import (
     Atom,
@@ -75,8 +75,10 @@ class MinerConfig:
 
     minsup: minimum number of answers (for queries with symbolic constants,
         of the best single assignment) for a query to count as frequent.
-    max_atoms: largest body size explored, at most 64: one sqlite3 join
-        holds at most 64 tables, one per body atom.
+    max_atoms: largest body size explored, at most
+        ``evaluation.MAX_ATOMS`` (64), so that every query mined is one SQL
+        statement SQLite can run: a join there holds at most 64 tables, one
+        per body atom.
     enable_constants: when False, the selection operation is switched off and
         no symbolic-constant queries are generated.
     key_atom: optional atom every explored query must contain, with the
@@ -94,8 +96,8 @@ class MinerConfig:
     ) -> None:
         if minsup < 1:
             raise ConfigError(f"minsup must be at least 1, got {minsup}")
-        if not 1 <= max_atoms <= 64:
-            raise ConfigError(f"max_atoms must be from 1 to 64, got {max_atoms}")
+        if not 1 <= max_atoms <= MAX_ATOMS:
+            raise ConfigError(f"max_atoms must be from 1 to {MAX_ATOMS}, got {max_atoms}")
         self.minsup = minsup
         self.max_atoms = max_atoms
         self.enable_constants = enable_constants

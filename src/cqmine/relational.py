@@ -2,21 +2,18 @@
 
 A schema declares named relations with fixed arity and column names; an
 instance assigns each relation a finite set of constant tuples.  Both are
-immutable once loaded; an instance's rows are also served as sqlite3 tables.
+immutable once loaded.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-import functools
 import re
-import sqlite3
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import DataError, SchemaError
-from .sqlgen import table_sql
 
 _DECL_RE = re.compile(
     r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\(\s*(?P<cols>[^()]*)\s*\)$"
@@ -68,15 +65,17 @@ class Instance:
     """A database instance: one frozen set of rows per schema relation.
 
     Rows are tuples of strings; duplicates are collapsed by construction.
-    The class has no ``__slots__``: ``database`` is a ``cached_property``,
-    which keeps the connection in the instance's ``__dict__``.
 
-    ``component_counts`` is the evaluator's table of component counts: each
-    connected component of a query body counted on this instance, keyed so
-    that renaming leaves the key unchanged, maps to its counts by its
-    placeholders' values (see ``cqmine.evaluation``).  It lives as long as
-    the instance.
+    Two tables belong to the evaluator (see ``cqmine.evaluation``) and live
+    as long as the instance.  ``component_counts`` holds each connected
+    component of a query body counted on this instance, keyed so that
+    renaming leaves the key unchanged, with its counts by its placeholders'
+    values.  ``indexes`` holds the rows of a relation that match an atom's
+    argument pattern, grouped by the values of its bound variables, keyed by
+    relation and pattern.
     """
+
+    __slots__ = ("schema", "tables", "component_counts", "indexes")
 
     def __init__(
         self, schema: Schema, tables: dict[str, frozenset[tuple[str, ...]]]
@@ -93,16 +92,7 @@ class Instance:
                     )
             self.tables[decl.name] = rows
         self.component_counts: dict[tuple, dict[tuple[str, ...], int]] = {}
-
-    @functools.cached_property
-    def database(self) -> sqlite3.Connection:
-        """The rows as an in-memory sqlite3 database, built on first use."""
-        connection = sqlite3.connect(":memory:")
-        for decl in self.schema.relations:
-            create, insert = table_sql(decl)
-            connection.execute(create)
-            connection.executemany(insert, self.tables[decl.name])
-        return connection
+        self.indexes: dict[tuple, dict[tuple[str, ...], list[tuple[str, ...]]]] = {}
 
 
 def load_schema(path: str | Path) -> Schema:

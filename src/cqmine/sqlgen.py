@@ -1,12 +1,16 @@
-"""Render conjunctive queries and relations as SQL text.
+"""Render conjunctive queries as SQL text.
 
 Plain queries become a single SELECT DISTINCT over aliased tables with
 equality predicates for shared variables and constants.  Queries with
 symbolic constants become a grouped query: an inner SELECT DISTINCT projects
 the placeholder columns alongside the head, and the outer query groups by the
-placeholders and filters with ``HAVING COUNT(*) >= :minsup``.  A support is
-counted per connected component of the body (``factor_sql``), from the same
-join text.
+placeholders and filters with ``HAVING COUNT(*) >= :minsup``.  One factor
+of a support, the count over one connected component of the body, renders
+from the same join text (``factor_sql``).
+
+This is the text ``cqmine sql`` prints.  The program itself runs no SQL:
+``cqmine.evaluation`` counts in process, and its counts are the ones these
+statements give, which the tests check by running them on ``sqlite3``.
 
 Relation, column and variable names are quoted identifiers, so SQL keywords
 stay valid; a placeholder's column is named ``"$c1"``, which no variable name
@@ -29,22 +33,11 @@ from .queries import (
 )
 
 if TYPE_CHECKING:
-    from .relational import RelationDecl, Schema
+    from .relational import Schema
 
 
 def _quote_identifier(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
-
-
-def table_sql(decl: RelationDecl) -> tuple[str, str]:
-    """Statements creating a relation's table and inserting one row into it.
-
-    The columns are TEXT, so ``'01'`` and ``'1'`` stay apart.
-    """
-    table = _quote_identifier(decl.name)
-    columns = ", ".join(f"{_quote_identifier(c)} TEXT" for c in decl.columns)
-    marks = ", ".join("?" for _ in decl.columns)
-    return f"CREATE TABLE {table} ({columns})", f"INSERT INTO {table} VALUES ({marks})"
 
 
 def _join(

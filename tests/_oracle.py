@@ -14,6 +14,7 @@ import csv
 import functools
 import itertools
 import random
+import sqlite3
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping
@@ -45,6 +46,7 @@ from cqmine.queries import (
     substitute_terms,
 )
 from cqmine.relational import Instance, Schema
+from cqmine.sqlgen import emit_sql
 
 Tables = Mapping[str, Iterable[tuple[str, ...]]]
 
@@ -497,6 +499,45 @@ def support(query: ConjunctiveQuery, instance: Instance) -> int:
     if query.symbolic_constants():
         raise QueryError("query contains symbolic constants; use support_grouped")
     return support_grouped(query, instance).counts.get((), 0)
+
+
+def _quoted(name: str) -> str:
+    return '"' + name.replace('"', '""') + '"'
+
+
+def sqlite_database(instance: Instance) -> sqlite3.Connection:
+    """The instance's rows as an in-memory sqlite3 database: one table per
+    relation, its name and its columns' names quoted so that SQL keywords
+    stay valid, and TEXT columns, so ``'01'`` and ``'1'`` stay apart."""
+    connection = sqlite3.connect(":memory:")
+    for decl in instance.schema.relations:
+        table = _quoted(decl.name)
+        columns = ", ".join(f"{_quoted(column)} TEXT" for column in decl.columns)
+        marks = ", ".join("?" for _ in decl.columns)
+        connection.execute(f"CREATE TABLE {table} ({columns})")
+        connection.executemany(
+            f"INSERT INTO {table} VALUES ({marks})", instance.tables[decl.name]
+        )
+    return connection
+
+
+def sqlite_counts(
+    connection: sqlite3.Connection,
+    query: ConjunctiveQuery,
+    schema: Schema,
+    minsup: int = 1,
+    bound: bool = True,
+) -> dict[tuple[str, ...], int]:
+    """``support_grouped(query, ..., minsup).counts`` as sqlite3 gives them,
+    running ``emit_sql``'s text with constants bound as parameters or, when
+    not ``bound``, as inline literals; a query without placeholders has the
+    one assignment ``()``, which counts its answers."""
+    params: dict | None = {} if bound else None
+    sql = emit_sql(query, schema, params)
+    rows = connection.execute(sql, {**(params or {}), "minsup": minsup}).fetchall()
+    if query.symbolic_constants():
+        return {tuple(row[:-1]): row[-1] for row in rows}
+    return {(): len(rows)} if len(rows) >= minsup else {}
 
 
 def substitute(query: ConjunctiveQuery, mapping: Mapping[Term, Term]) -> ConjunctiveQuery:

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import cqmine
+from _oracle import sqlite_database
 from cqmine import cli, reports
 from cqmine.cli import main
 from cqmine.phase1 import run_phase1
@@ -781,8 +782,8 @@ def test_sql_inline_literal_with_nul_runs(keyword_data, capsys):
     assert "\0" not in sql
     assert _eval(keyword_data, query) == 0
     answers = capsys.readouterr().out.splitlines()[:-1]  # the last is the support
-    instance = load_instance(load_schema(schema), keyword_data)
-    rows = sorted(row[0] for row in instance.database.execute(sql))
+    database = sqlite_database(load_instance(load_schema(schema), keyword_data))
+    rows = sorted(row[0] for row in database.execute(sql))
     assert rows == answers == ["a\0b", "c", "d"]
 
 

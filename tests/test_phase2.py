@@ -11,6 +11,7 @@ from operator import attrgetter
 import pytest
 
 import cqmine.containment
+import cqmine.evaluation
 import cqmine.phase1
 import cqmine.phase2
 import cqmine.queries
@@ -382,8 +383,8 @@ def test_every_count_comes_from_the_instance_table(
     # a constant-free consequent reached from another walk included, is
     # counted at most once per run, however many walks reach it, with any
     # constants it keeps re-opened as placeholders; its components come from
-    # the instance's table, where phase 1 left them (the SQL statements are
-    # pinned by ``test_each_component_runs_as_sql_once_per_instance``)
+    # the instance's table, where phase 1 left them (the components counted
+    # are pinned by ``test_each_component_is_counted_once_per_instance``)
     counted = []
 
     def recording_support_grouped(query, instance, minsup=1):
@@ -399,19 +400,27 @@ def test_every_count_comes_from_the_instance_table(
     assert len(counted) == 324
 
 
-def test_each_component_runs_as_sql_once_per_instance(beer_instance, rules_half):
+def test_each_component_is_counted_once_per_instance(
+    beer_instance, rules_half, monkeypatch
+):
     # a fresh instance starts with an empty table of component counts; phase
-    # 1 runs one statement per distinct component key, and phase 2 finds
-    # nearly every count it needs in the entries phase 1 made (the parent
-    # design ran 711 statements in phase 1 and 435 in phase 2)
+    # 1 counts each distinct component key once, and phase 2 finds nearly
+    # every count it needs in the entries phase 1 made (the parent design
+    # counted 711 components in phase 1 and 435 in phase 2)
     instance = Instance(beer_instance.schema, beer_instance.tables)
-    statements: list[str] = []
-    instance.database.set_trace_callback(statements.append)
+    counted = []
+    count = cqmine.evaluation._count
+
+    def recording(component, instance, threshold):
+        counted.append(component)
+        return count(component, instance, threshold)
+
+    monkeypatch.setattr(cqmine.evaluation, "_count", recording)
     state = run_phase1(instance, MinerConfig(minsup=2, max_atoms=2))
-    assert len(statements) == len(instance.component_counts) == 147
+    assert len(counted) == len(instance.component_counts) == 147
     rules = run_phase2(state, instance, RuleConfig(Fraction(1, 2)))
     assert rules == rules_half
-    assert len(statements) == len(instance.component_counts) == 148
+    assert len(counted) == len(instance.component_counts) == 148
 
 
 def test_instance_texts_render_once_per_order_type(

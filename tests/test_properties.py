@@ -15,7 +15,10 @@ support is one grouped count, which for a query without placeholders must
 be its answer count at the one empty assignment; kept as per-component
 factors, shared between renamed components, it must give the supports
 that meet the minimum, enumerated or looked up, however the placeholders
-are numbered.  The text-only renderers
+are numbered.  The in-process join must give the answers and counts that
+sqlite3 gives running the rendered SQL, and that enumeration gives, on
+awkward values and bodies that repeat a variable inside one atom.  The
+text-only renderers
 must give the text of the instantiated query's canonical form.
 
 Phase 1 skips work it can prove redundant, and the lemmas behind each cut
@@ -44,7 +47,7 @@ from cqmine import containment, generalization, phase1, phase2
 from cqmine import queries as queries_module
 from cqmine.containment import is_diagonally_contained, is_equivalent, minimize
 from cqmine.errors import QueryError
-from cqmine.evaluation import GroupedSupport, support_grouped
+from cqmine.evaluation import GroupedSupport, evaluate, support_grouped
 from cqmine.generalization import atom_removals, splits
 from cqmine.phase1 import (
     MinerConfig,
@@ -74,6 +77,7 @@ from cqmine.queries import (
     substitute_terms,
 )
 from cqmine.relational import Instance, RelationDecl, Schema
+from cqmine.sqlgen import emit_sql
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -386,6 +390,82 @@ def test_factored_support_is_the_filtered_product(query, instance):
         # a member's lookup multiplies its factors' counts at its values
         looked_up = support_grouped(query, instance, minsup)
         assert {values: looked_up.count(values) for values in meeting} == meeting
+
+
+# relations of arity one to three, so an atom can repeat a variable and
+# still hold another term
+JOIN_SCHEMA = Schema((
+    RelationDecl("u", ("a",)),
+    RelationDecl("r", ("a", "b")),
+    RelationDecl("t", ("a", "b", "c")),
+))
+# values that the join must keep apart or carry through unchanged: NUL,
+# quotes, ``'01'`` next to ``'1'``, the empty string and non-ASCII text
+JOIN_VALUES = ["1", "01", "", "\0", "a\0b", "it's", '"', "''", "Zoë", "ß"]
+
+
+@st.composite
+def join_queries(draw):
+    """A body of one to four atoms over two variables, two placeholders and
+    constants, so that a variable often repeats inside one atom, after an
+    earlier atom bound it or not, placeholders are shared between atoms and
+    an atom may hold only constants."""
+    names = st.sampled_from([*VARIABLES[:2], *PLACEHOLDERS[:2]])
+    # a variable or placeholder twice as often as a constant
+    terms = st.one_of(names, names, st.sampled_from(JOIN_VALUES).map(Constant))
+    body = set()
+    for _ in range(draw(st.integers(1, 4))):
+        decl = draw(st.sampled_from(JOIN_SCHEMA.relations))
+        body.add(Atom(decl.name, tuple(draw(terms) for _ in decl.columns)))
+    body_vars = sorted(
+        {t for atom in body for t in atom.args if isinstance(t, Variable)},
+        key=lambda v: v.name,
+    )
+    assume(body_vars)
+    head = draw(st.lists(st.sampled_from(body_vars), min_size=1, unique=True))
+    return ConjunctiveQuery(tuple(head), frozenset(body))
+
+
+@st.composite
+def join_instances(draw):
+    """One to six rows per relation over a few of ``JOIN_VALUES``, or, now
+    and then, none."""
+    pool = draw(st.lists(st.sampled_from(JOIN_VALUES), min_size=1, max_size=3, unique=True))
+    values = st.sampled_from(pool)
+    tables = {}
+    for decl in JOIN_SCHEMA.relations:
+        rows = st.frozensets(st.tuples(*[values] * decl.arity), min_size=1, max_size=6)
+        tables[decl.name] = draw(st.one_of(rows, rows, rows, st.just(frozenset())))
+    return Instance(JOIN_SCHEMA, tables)
+
+
+# an atom that repeats a variable an earlier atom bound, with a row that
+# repeats the value and one that does not
+BOUND_REPEAT = (
+    parse_query("Q(y0) :- r(y0, y1), t(y1, y1, $c1)", JOIN_SCHEMA),
+    Instance(JOIN_SCHEMA, {
+        "r": frozenset({("1", "01"), ("01", "1")}),
+        "t": frozenset({("01", "01", "\0"), ("1", "01", "\0")}),
+    }),
+)
+
+
+@PROPERTY
+@given(join_queries(), join_instances(), st.integers(1, 3), st.booleans())
+@example(*BOUND_REPEAT, 1, False)
+def test_the_evaluator_agrees_with_sqlite_and_enumeration(query, instance, minsup, bound):
+    # the in-process join against sqlite3 running the rendered SQL, with
+    # constants bound or inline, and against brute-force enumeration
+    database = _oracle.sqlite_database(instance)
+    grouped = _oracle.naive_grouped_counts(query, instance.tables, minsup)
+    assert support_grouped(query, instance, minsup).counts == grouped
+    assert _oracle.sqlite_counts(database, query, JOIN_SCHEMA, minsup, bound) == grouped
+    plain = without_placeholders(query)
+    answers = _oracle.eval_naive(plain, instance.tables)
+    assert evaluate(plain, instance) == answers
+    params = {} if bound else None
+    sql = emit_sql(plain, JOIN_SCHEMA, params)
+    assert set(database.execute(sql, params or {})) == answers
 
 
 # values whose quoted texts are prefixes of one another's: in context they

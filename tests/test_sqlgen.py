@@ -54,9 +54,10 @@ def test_keyword_names_are_quoted():
         'SELECT DISTINCT t1."group" AS "from" FROM "order" t1, "order" t2 '
         "WHERE t2.\"group\" = t1.\"select\" AND t2.\"select\" = '1'"
     )
-    assert instance.database.execute(plain).fetchall() == [("a",)]
+    database = _oracle.sqlite_database(instance)
+    assert database.execute(plain).fetchall() == [("a",)]
     grouped = emit_sql(Q("Q(from) :- order(from, $c1)"), schema)
-    assert instance.database.execute(grouped, {"minsup": 2}).fetchall() == [("1", 2)]
+    assert database.execute(grouped, {"minsup": 2}).fetchall() == [("1", 2)]
 
 
 def test_deterministic_text(beer_schema):
@@ -103,9 +104,10 @@ def test_factors_without_head_variables(beer_schema):
 
 def test_plain_sql_matches_evaluate(beer_schema, beer_instance):
     rng = random.Random(7401)
+    database = _oracle.sqlite_database(beer_instance)
     for _ in range(60):
         q = _oracle.random_query(rng, allow_symbolics=False)
-        rows = set(beer_instance.database.execute(emit_sql(q, beer_schema)))
+        rows = set(database.execute(emit_sql(q, beer_schema)))
         assert rows == _oracle.eval_naive(q, beer_instance.tables), str(q)
 
 
@@ -120,8 +122,9 @@ def test_grouped_sql_matches_support_grouped(beer_schema, beer_instance):
             beer_instance if trial % 2 == 0
             else _oracle.random_instance(rng, beer_schema)
         )
+        database = _oracle.sqlite_database(inst)
         for minsup in (1, 2):
-            rows = inst.database.execute(emit_sql(q, beer_schema), {"minsup": minsup})
+            rows = database.execute(emit_sql(q, beer_schema), {"minsup": minsup})
             got = {tuple(row[:-1]): row[-1] for row in rows}
             assert got == _oracle.naive_grouped_counts(q, inst.tables, minsup), str(q)
         checked += 1
@@ -129,7 +132,7 @@ def test_grouped_sql_matches_support_grouped(beer_schema, beer_instance):
 
 
 def test_example_rule_pair_supports_via_sql(beer_schema, beer_instance):
-    conn = beer_instance.database
+    conn = _oracle.sqlite_database(beer_instance)
     antecedent = Q("Q(x, y) :- likes(x, 'Duvel'), visits(x, y)")
     consequent = Q("Q(x, y) :- likes(x, 'Duvel'), visits(x, y), serves(y, 'Duvel')")
     assert len(conn.execute(emit_sql(antecedent, beer_schema)).fetchall()) == 6
